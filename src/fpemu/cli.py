@@ -208,7 +208,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     # each run gets its own directory so a results tree can hold many runs
     run_dir = Path(args.out) / cfg.run_id() if args.out is not None else None
-    result = train(cfg, out_dir=run_dir)
+    try:
+        result = train(cfg, out_dir=run_dir)
+    except ValueError as exc:  # settings that only the task data can refute
+        raise _CliError(str(exc)) from None
     print(f"run_id: {cfg.run_id()}")
     print(f"format: {cfg.fmt_name}  mode: {cfg.mode.value}  "
           f"dls: {'on' if cfg.dls else 'off'}")

@@ -14,11 +14,23 @@ a ``matmul`` that reduces every output element with one of these
 schedules in ascending index order.
 
 Scalar calls go through exact integer arithmetic.  The tensor paths reach
-the same bit-exact results differently: the exact product is a binary64
-value (at most 48 significand bits), and a TwoSum error term turns the
-binary64 addition into round-to-odd, which the rounding kernel may then
-round to any format of 24 or fewer significand bits without double
-rounding.  Both paths are tested against the rational oracle.
+the same bit-exact results differently.  The exact product is a binary64
+value (at most 48 significand bits).  In the format-width modes a TwoSum
+error term turns the binary64 addition into round-to-odd, which the
+rounding kernel may then round to any format of 24 or fewer significand
+bits without double rounding.
+
+The binary32-accumulator modes skip the rounding kernel in the reduction.
+FMACS adds in binary64 and casts to float32.  That double rounding can
+differ from one binary32 rounding only where the binary64 add was inexact
+and its sum sits on a binary32 tie, or below binary32's minimum normal,
+where its grid is coarser.  A block of steps is checked for such lanes
+afterwards; the first step that has one is redone as a round-to-odd add,
+which the cast then rounds correctly (53 >= 24 + 2; Boldo and Melquiond,
+IEEE TC 2008), and the steps after it run again.  MACS rounds a block of
+products into the format at once and sums them with a sequential float32
+``np.add.accumulate``, the running sum (starting at +0) carried in as the
+first row.  Both paths are tested against the rational oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import QuantTensor, roundfp_array
+from .rounding import _ABS, QuantTensor, _on_grid, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -207,13 +219,67 @@ def _coerce_matrix(m, fmt: FpFormat, name: str) -> np.ndarray:
             return m.data.astype(np.float64)
         m = m.data
     a = np.asarray(m, dtype=np.float64)
-    q = roundfp_array(a, fmt).astype(np.float64)
-    same = (q == a) | (np.isnan(q) & np.isnan(a))
-    # Signed zeros: rounding never flips a zero's sign, so == is enough.
-    if not same.all():
-        i = tuple(np.argwhere(~same)[0])
+    ok = _on_grid(a, fmt)
+    if not ok.all():
+        i = tuple(np.argwhere(~ok)[0])
         raise ValueError(f"{name}{list(i)} = {a[i]!r} is not representable in {fmt}")
     return a
+
+
+# Products are formed a K-block at a time as a (kb, m, n) tensor of at
+# most _BLOCK_ELEMS elements and _BLOCK_STEPS steps.  The step cap bounds
+# what one FMACS fix-up re-runs.
+_BLOCK_ELEMS = 1 << 14
+_BLOCK_STEPS = 256
+
+_B32_DROPPED = np.uint64((1 << 29) - 1)  # binary64 significand bits below binary32's
+_B32_TIE = np.uint64(1 << 28)
+_B32_TINY = np.uint64(0x3810000000000000 - 1)  # bits of 2^-126, less one
+
+
+def _product_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield the exact products a[:, i] * b[i, :] as (kb, m, n) blocks in
+    ascending i."""
+    m, k = a.shape
+    n = b.shape[1]
+    kb = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n)))
+    at = a.T
+    for k0 in range(0, k, kb):
+        yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
+
+
+def _may_double_round32(s: np.ndarray) -> np.ndarray:
+    """Lanes where, if s is an inexact binary64 sum, casting it to float32
+    may differ from rounding the exact sum once: binary32 ties, and nonzero
+    magnitudes below 2^-126, where binary32's grid is coarser."""
+    bits = s.view(np.uint64)
+    tie = (bits & _B32_DROPPED) == _B32_TIE
+    mag = bits & _ABS
+    mag -= np.uint64(1)  # zero wraps to the top, out of the tiny band
+    return tie | (mag < _B32_TINY)
+
+
+def _fmacs_block(rows: np.ndarray, prods: np.ndarray) -> None:
+    """FMACS steps over one block: rows[i + 1] = round32(rows[i] + prods[i]).
+
+    ``rows`` is float32 with the running sum in row 0; ``prods`` holds the
+    exact binary64 products.  Each step is a binary64 add cast to float32.
+    The whole block is then checked at once: a step can have rounded
+    twice only where the binary64 add was inexact and its sum may double
+    round (:func:`_may_double_round32`).  The first such step is redone
+    with a round-to-odd add, and the steps after it are run again.
+    """
+    start = 0
+    while start < len(prods):
+        for i in range(start, len(prods)):
+            np.add(rows[i], prods[i], out=rows[i + 1], casting="unsafe")
+        s, err = _two_sum(rows[start:-1].astype(np.float64), prods[start:])
+        bad = (err != 0) & _may_double_round32(s)
+        if not bad.any():
+            return
+        i = start + int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        rows[i + 1] = _add_round_to_odd(rows[i].astype(np.float64), prods[i])
+        start = i + 1
 
 
 def _reduce_matmul(
@@ -222,32 +288,36 @@ def _reduce_matmul(
     """Shared reduction: returns the pre-output accumulator as float64.
 
     For MAC/FMAC/FMAC8 the result is already at format width; for
-    MACS/FMACS it is the binary32 master accumulator.
+    MACS/FMACS it is the binary32 master accumulator.  NaN lanes hold the
+    canonical NaN.
     """
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
-    with np.errstate(invalid="ignore"):
-        return _reduce_matmul_loops(a, b, mode, fmt, chunk, m, n, k)
+    # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes,
+    # and binary32 accumulators legitimately overflow to infinity.
+    with np.errstate(invalid="ignore", over="ignore"):
+        acc = _reduce_matmul_loops(a, b, mode, fmt, chunk, m, n, k)
+    acc[np.isnan(acc)] = np.nan
+    return acc
 
 
 def _reduce_matmul_loops(a, b, mode, fmt, chunk, m, n, k):
-    # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes;
-    # the caller suppressed numpy's invalid-value flag.
+    if mode in (AccumMode.MACS, AccumMode.FMACS):
+        # Row 0 of each block carries the binary32 running sum.
+        acc = np.zeros((1, m, n), dtype=np.float32)
+        for prods in _product_blocks(a, b):
+            if mode is AccumMode.MACS:
+                # One float32 add per rounded product, in ascending order.
+                rows = np.concatenate([acc, roundfp_array(prods, fmt)])
+                np.add.accumulate(rows, axis=0, out=rows)
+            else:
+                rows = np.concatenate([acc, np.empty(prods.shape, np.float32)])
+                _fmacs_block(rows, prods)
+            acc = rows[-1:]
+        return acc[0].astype(np.float64)
     acc = np.zeros((m, n), dtype=np.float64)
-    if mode is AccumMode.FMACS:
-        for i in range(k):
-            prod = a[:, i, None] * b[None, i, :]
-            acc = roundfp_array(_add_round_to_odd(acc, prod), BINARY32).astype(np.float64)
-        return acc
-    if mode is AccumMode.MACS:
-        for i in range(k):
-            prod16 = roundfp_array(a[:, i, None] * b[None, i, :], fmt).astype(np.float64)
-            # Both addends are binary32 values, so float32 addition is the
-            # single correctly rounded binary32 add.
-            acc = (acc.astype(np.float32) + prod16.astype(np.float32)).astype(np.float64)
-        return acc
     if mode is AccumMode.MAC:
         for i in range(k):
             prod16 = roundfp_array(a[:, i, None] * b[None, i, :], fmt).astype(np.float64)

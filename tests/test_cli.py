@@ -125,6 +125,12 @@ def test_train_rejects_bad_set():
     assert main(["train", "--task", "regression", "--set", "nodelimiter"]) == 1
 
 
+def test_train_batch_larger_than_dataset(capsys):
+    assert main(["train", "--task", "regression", "--set", "batch_size=1000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "fpemu: error: batch_size exceeds dataset size\n"
+
+
 def test_report(tmp_path, capsys):
     for name, threshold in [("a", "1e9"), ("b", "1e-30")]:
         main(["train", "--task", "regression", "--out", str(tmp_path),

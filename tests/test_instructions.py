@@ -22,6 +22,7 @@ from fpemu.oracle import (
     fmacs_oracle,
     mac_oracle,
     macs_oracle,
+    round_float,
 )
 from fpemu.rounding import roundfp, roundfp_array
 
@@ -254,43 +255,140 @@ def test_macs_equals_fmacs_when_product_is_exact(mx, ex, my, ey, a):
 # ── matrix reductions ──────────────────────────────────────────────────
 
 
-def _scalar_reference(a, b, fmt, mode, chunk):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            if mode is AccumMode.FMAC8:
-                out[i, j] = fmac8_dot(a[i, :], b[:, j], fmt, chunk=chunk)
-                continue
-            acc32 = 0.0
-            accf = 0.0
-            for k in range(a.shape[1]):
-                x, y = float(a[i, k]), float(b[k, j])
-                if mode is AccumMode.MAC:
-                    accf = mac(accf, x, y, fmt)
-                elif mode is AccumMode.FMAC:
-                    accf = fmac(accf, x, y, fmt)
-                elif mode is AccumMode.MACS:
-                    acc32 = macs(acc32, x, y, fmt)
-                else:
-                    acc32 = fmacs(acc32, x, y, fmt)
-            if mode in (AccumMode.MAC, AccumMode.FMAC):
-                out[i, j] = accf
-            else:
-                out[i, j] = q(acc32, fmt)
-    return out.astype(np.float32)
+def _oracle_chain(arow, bcol, fmt, mode, chunk):
+    """One output element replayed step by step with the rational oracle.
+
+    Returns (wide, narrow): the accumulator state :func:`matmul_wide`
+    returns, and the :func:`matmul` output rounded into ``fmt``.
+    """
+    acc = 0.0
+    if mode is AccumMode.FMAC8:
+        master = 0.0
+        for i, (x, y) in enumerate(zip(arow, bcol)):
+            if i % chunk == 0:
+                master = fmacs_oracle(master, acc, 1.0, fmt)  # binary32 drain
+                acc = 0.0
+            acc = fmac_oracle(acc, x, y, fmt)
+        acc = fmacs_oracle(master, acc, 1.0, fmt)
+    else:
+        step = {AccumMode.MAC: mac_oracle, AccumMode.MACS: macs_oracle,
+                AccumMode.FMAC: fmac_oracle, AccumMode.FMACS: fmacs_oracle}[mode]
+        for x, y in zip(arow, bcol):
+            acc = step(acc, x, y, fmt)
+    return acc, round_float(acc, fmt)
+
+
+def _same_bits32(got, want):
+    """Bitwise float32 equality, zero signs included; NaN must be np.nan."""
+    got = np.float32(got)
+    if math.isnan(want):
+        return got.view(np.uint32) == np.float32(np.nan).view(np.uint32)
+    return got.view(np.uint32) == np.float32(want).view(np.uint32)
+
+
+# m x k x n of the products training runs: the conv forward and weight
+# gradient, the cnn head forward and weight gradient, the regression head.
+TRAINING_SHAPES = ((32, 108, 4), (4, 32, 108), (1152, 9, 3), (3, 1152, 9), (32, 16, 1))
+
+
+def _special_operands(rng, m, k, n, fmt):
+    """Format operands with signed zeros, an infinity in row 0 of a, a NaN
+    in the last column of b, and opposing overflows partway through the
+    reduction of row m-1 against column 0."""
+    a = rng.standard_normal((m, k)) * 2.0 ** rng.integers(-8, 5, (m, k))
+    b = rng.standard_normal((k, n)) * 2.0 ** rng.integers(-8, 5, (k, n))
+    for x in (a, b):
+        r = rng.random(x.shape)
+        x[r < 0.06] = 0.0
+        x[r > 0.94] = -0.0
+    a[0, k // 2] = np.inf
+    b[(k - 1) // 2, n - 1] = np.nan
+    if k >= 3:
+        big = fmt.max_finite
+        a[m - 1, k // 3], b[k // 3, 0] = big, big
+        a[m - 1, 2 * k // 3], b[2 * k // 3, 0] = -big, big
+    return (roundfp_array(a.astype(np.float32), fmt),
+            roundfp_array(b.astype(np.float32), fmt))
+
+
+def _check_lanes(a, b, fmt, mode, chunk, lanes):
+    wide = matmul_wide(a, b, fmt, mode=mode, chunk=chunk)
+    narrow = matmul(a, b, fmt, mode=mode, chunk=chunk).data
+    for i, j in lanes:
+        want_wide, want = _oracle_chain(a[i].tolist(), b[:, j].tolist(), fmt, mode, chunk)
+        where = f"{a.shape[0]}x{a.shape[1]}x{b.shape[1]} {fmt} {mode.value} [{i},{j}]"
+        assert _same_bits32(wide[i, j], want_wide), f"wide {where}"
+        assert _same_bits32(narrow[i, j], want), f"narrow {where}"
 
 
 @pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
 def test_matmul_matches_scalar_chains(mode):
     rng = np.random.default_rng(19)
-    for fmt in (HALF, WIDE_N):
+    for fmt in (HALF, WIDE_N, BINARY32):
+        # random normals, every lane
         a = roundfp_array(rng.standard_normal((3, 10)).astype(np.float32), fmt)
         b = roundfp_array(rng.standard_normal((10, 4)).astype(np.float32), fmt)
-        got = matmul(a, b, fmt, mode=mode, chunk=4).data
-        want = _scalar_reference(a, b, fmt, mode, chunk=4)
-        nan = np.isnan(want)
-        assert np.array_equal(got[~nan], want[~nan])
-        assert np.all(np.isnan(got[nan]))
+        _check_lanes(a, b, fmt, mode, 4, [(i, j) for i in range(3) for j in range(4)])
+        # training shapes with special operands, sampled lanes: the
+        # infinity row, the NaN column, the overflow lane, two at random
+        for m, k, n in TRAINING_SHAPES:
+            a, b = _special_operands(rng, m, k, n, fmt)
+            lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
+                     (int(rng.integers(m)), int(rng.integers(n)))}
+            _check_lanes(a, b, fmt, mode, 8, sorted(lanes))
+
+
+def test_fmacs_binary32_tie_is_not_double_rounded():
+    # a + x*y = 2^30 + 2^6 + 2^-24 exactly.  binary64 drops the 2^-24 and
+    # lands on the binary32 tie 2^30 + 2^6, which a plain float32 cast
+    # would round to even, 2^30; one correct rounding goes up.
+    a = np.array([[2.0**30 + 2.0**7, 2.0**3 * (1 + 2.0**-15)]])
+    b = np.array([[1.0], [-(2.0**3) * (1 - 2.0**-15)]])
+    assert float(np.float32(np.sum(a[0] * b[:, 0]))) == 1073741824.0
+    got = matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)
+    assert float(got[0, 0]) == 1073741952.0
+    assert float(got[0, 0]) == _oracle_chain(a[0], b[:, 0], BINARY32, AccumMode.FMACS, 8)[0]
+    # steps after the corrected one start from the corrected sum
+    a3 = np.concatenate([a, [[1.0]]], axis=1)
+    b3 = np.concatenate([b, [[256.0]]])
+    assert float(matmul_wide(a3, b3, BINARY32, mode=AccumMode.FMACS)[0, 0]) == 1073742208.0
+
+
+def test_fmacs_binary32_denormal_tie_is_not_double_rounded():
+    # Below 2^-126 the binary32 quantum is 2^-149.  The exact sum
+    # 513 * 2^-149 + 2^-150 - 2^-196 lies just under a midpoint; binary64
+    # drops the 2^-196 and lands on it, and a cast would round to even.
+    a = np.array([[2.0**-140 + 2.0**-149, (1 + 2.0**-23) * 2.0**-75]])
+    b = np.array([[1.0], [(1 - 2.0**-23) * 2.0**-75]])
+    assert float(np.float32(a[0, 0] + a[0, 1] * b[1, 0])) == 2.0**-140 + 2.0**-148
+    got = matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)
+    assert float(got[0, 0]) == 2.0**-140 + 2.0**-149
+    assert float(got[0, 0]) == _oracle_chain(a[0], b[:, 0], BINARY32, AccumMode.FMACS, 8)[0]
+
+
+@pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
+def test_matmul_negative_zero_products_sum_to_positive_zero(mode):
+    # every accumulator starts at +0, and (+0) + (-0) is +0
+    a = np.array([[-1.0, 1.0]])
+    b = np.array([[0.0], [-0.0]])
+    for out in (matmul_wide(a, b, HALF, mode=mode), matmul(a, b, HALF, mode=mode).data):
+        assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+    assert _oracle_chain(a[0], b[:, 0], HALF, mode, 8) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
+def test_matmul_nan_is_canonical(mode):
+    # -inf + inf, 0 * inf and a NaN operand give NaN lanes; whatever sign
+    # the hardware leaves on them, both outputs carry numpy's canonical NaN
+    a = np.array([[-np.inf, np.inf, 1.0], [0.0, 1.0, np.nan]])
+    b = np.array([[1.0, np.inf], [1.0, 1.0], [1.0, 1.0]])
+    canonical = np.float32(np.nan).view(np.uint32)
+    for fmt in (HALF, BINARY32):
+        wide = matmul_wide(a, b, fmt, mode=mode, chunk=2)
+        narrow = matmul(a, b, fmt, mode=mode, chunk=2).data
+        for out in (wide, narrow):
+            assert np.isnan(out).all()
+            assert np.all(out.view(np.uint32) == canonical)
 
 
 def test_matmul_wide_is_prerounding_state():
@@ -308,6 +406,16 @@ def test_matmul_rejects_nonformat_input():
     good = np.eye(2, dtype=np.float32)
     with pytest.raises(ValueError):
         matmul(bad, good, HALF)
+    for fmt, value in ((HALF, 1.0 + 2.0**-11),       # off the grid
+                       (WIDE_N, WIDE_N.min_normal / 2),  # denormal in a /n format
+                       (HALF, 65536.0)):             # above max_finite
+        m = good.copy()
+        m[1, 0] = value
+        with pytest.raises(ValueError, match=rf"^b\[.*\] = .* is not representable in {fmt}$"):
+            matmul_wide(good, m, fmt)
+    specials = np.array([[np.nan], [np.inf], [-np.inf], [-0.0], [0.0]], dtype=np.float32)
+    out = matmul_wide(specials, np.ones((1, 1), dtype=np.float32), WIDE_N, mode=AccumMode.MACS)
+    assert np.array_equal(out, np.abs(specials) * [[1], [1], [-1], [1], [1]], equal_nan=True)
     with pytest.raises(ValueError):
         matmul(good, good, HALF, chunk=0)
     with pytest.raises(ValueError):

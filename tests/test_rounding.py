@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.oracle import round_float
-from fpemu.rounding import RoundFlag, roundfp, roundfp_array, roundfp_tensor
+from fpemu.rounding import RoundFlag, _on_grid, roundfp, roundfp_array, roundfp_tensor
 from fpemu.telemetry import Phase, TelemetrySink
 
 HALF = FpFormat.parse("1/5/10/d")
@@ -137,6 +137,59 @@ def test_matches_exact_rational_oracle(fmt):
         else:
             assert got == want, f"{x!r} in {fmt}"
             assert math.copysign(1, got) == math.copysign(1, want)
+
+
+def _random_float64(rng, n, fmt):
+    """Raw 64-bit patterns, half of them with the exponent near the format's."""
+    raw = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    e = rng.integers(fmt.e_min - fmt.mant_bits - 4, fmt.e_max + 3, size=n // 2) + 1023
+    raw[: n // 2] = (raw[: n // 2] & np.uint64((1 << 52) - 1 | 1 << 63)) | (
+        e.astype(np.uint64) << np.uint64(52))
+    return raw.view(np.float64)
+
+
+def _grid_midpoints(rng, n, fmt):
+    """Exact midpoints (2m+1) * 2^(q-1) between neighbours of the grid,
+    from the denormal band up to the overflow threshold."""
+    e = rng.integers(fmt.e_min - 1, fmt.e_max + 1, size=n)
+    q = np.maximum(e, fmt.e_min) - fmt.mant_bits
+    hi = 1 << (fmt.mant_bits + 1)
+    m = np.where(e >= fmt.e_min, rng.integers(hi // 2, hi, size=n), rng.integers(0, hi // 2, size=n))
+    sign = rng.choice([-1.0, 1.0], size=n)
+    return sign * (2 * m + 1) * np.exp2((q - 1).astype(np.float64))
+
+
+@pytest.mark.parametrize("spec", ["1/2/1/d", "1/6/9/n", "1/8/7/n", "1/8/23/d"])
+def test_array_kernel_matches_oracle_on_bit_patterns_and_midpoints(spec):
+    fmt = FpFormat.parse(spec)
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([_random_float64(rng, 1500, fmt), _grid_midpoints(rng, 1500, fmt),
+                         [fmt.overflow_threshold, -fmt.overflow_threshold,
+                          np.finfo(np.float64).max, -np.finfo(np.float64).max]])
+    got = roundfp_array(xs, fmt)
+    for x, g in zip(xs.tolist(), got.tolist()):
+        want = round_float(x, fmt)
+        if math.isnan(want):
+            assert math.isnan(g)
+        else:
+            assert g == want and math.copysign(1, g) == math.copysign(1, want), f"{x!r}"
+
+
+@pytest.mark.parametrize("fmt", ALL_FMTS + (BINARY32,), ids=str)
+def test_membership_mask_matches_contains(fmt):
+    rng = np.random.default_rng(37)
+    with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
+        f32 = _random_float32(rng, 1000).astype(np.float64)
+    xs = np.concatenate([
+        _random_float64(rng, 1000, fmt),
+        f32,
+        roundfp_array(_random_float32(rng, 1000), fmt).astype(np.float64),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, fmt.max_finite, fmt.overflow_threshold,
+         fmt.min_normal, fmt.min_normal / 2, 2.0 ** (fmt.e_min - fmt.mant_bits), 5e-324],
+    ])
+    got = _on_grid(xs.reshape(-1, 1), fmt).ravel()
+    want = np.array([fmt.contains(x) for x in xs.tolist()])
+    assert np.array_equal(got, want)
 
 
 # ── properties ─────────────────────────────────────────────────────────
