@@ -17,7 +17,7 @@ from .formats import (
     encode16,
 )
 from .instructions import AccumMode, fmac, fmac8_dot, fmacs, mac, macs, matmul
-from .rounding import QuantTensor, RoundFlag, RoundingOutcome, roundfp, roundfp_tensor
+from .rounding import RoundFlag, RoundingOutcome, roundfp
 from .telemetry import DenormalStats, Phase, RunSummary, TelemetrySink
 
 __version__ = "0.1.0"
@@ -37,11 +37,9 @@ __all__ = [
     "mac",
     "macs",
     "matmul",
-    "QuantTensor",
     "RoundFlag",
     "RoundingOutcome",
     "roundfp",
-    "roundfp_tensor",
     "DenormalStats",
     "Phase",
     "RunSummary",

@@ -21,14 +21,13 @@ def to_mk(x: float) -> tuple[int, int]:
     return int(m * 9007199254740992.0), e - 53  # m * 2^53 is integral
 
 
-def round_mk(m: int, k: int, fmt: FpFormat, *, negative_zero: bool = False) -> float:
+def round_mk(m: int, k: int, fmt: FpFormat) -> float:
     """Round the exact value M * 2^k into ``fmt`` (round-to-nearest-even).
 
-    ``negative_zero`` selects the sign when M == 0 (IEEE addition can
-    produce -0 only from two negative-signed zero addends).
+    M == 0 gives +0; :func:`add_round` picks the sign of a zero sum.
     """
     if m == 0:
-        return -0.0 if negative_zero else 0.0
+        return 0.0
     sign = -1.0 if m < 0 else 1.0
     a = abs(m)
     e_val = a.bit_length() - 1 + k

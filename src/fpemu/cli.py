@@ -212,6 +212,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         result = train(cfg, out_dir=run_dir)
     except ValueError as exc:  # settings that only the task data can refute
         raise _CliError(str(exc)) from None
+    except OSError as exc:
+        raise _CliError(f"cannot write artifacts to {run_dir}: {exc}") from None
     print(f"run_id: {cfg.run_id()}")
     print(f"format: {cfg.fmt_name}  mode: {cfg.mode.value}  "
           f"dls: {'on' if cfg.dls else 'off'}")
@@ -236,7 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             summary = RunSummary.from_json(path.read_text())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             bad += 1
             continue

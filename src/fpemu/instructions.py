@@ -14,11 +14,15 @@ a ``matmul`` that reduces every output element with one of these
 schedules in ascending index order.
 
 Scalar calls go through exact integer arithmetic.  The tensor paths reach
-the same bit-exact results differently.  The exact product is a binary64
-value (at most 48 significand bits).  In the format-width modes a TwoSum
-error term turns the binary64 addition into round-to-odd, which the
-rounding kernel may then round to any format of 24 or fewer significand
-bits without double rounding.
+the same bit-exact results differently.  One reduction serves all five
+modes, driven by a per-mode table of three flags: round the products into
+the format first (MAC, MACS), accumulate in binary32 (MACS, FMACS), and
+drain a format-width accumulator into a binary32 master every ``chunk``
+steps (FMAC8).  It consumes the exact products, binary64 values of at
+most 48 significand bits, a block of steps at a time.  In the
+format-width modes a TwoSum error term turns each binary64 addition into
+round-to-odd, which the rounding kernel may then round to any format of
+24 or fewer significand bits without double rounding.
 
 The binary32-accumulator modes skip the rounding kernel in the reduction.
 FMACS adds in binary64 and casts to float32.  That double rounding can
@@ -36,13 +40,13 @@ first row.  Both paths are tested against the rational oracle.
 from __future__ import annotations
 
 import enum
-import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import _ABS, QuantTensor, _on_grid, roundfp_array
+from .rounding import _ABS, _on_grid, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -90,7 +94,7 @@ def mac(a: float, x: float, y: float, fmt: FpFormat) -> float:
     _check_operand(x, fmt, "x")
     _check_operand(y, fmt, "y")
     special, prod = _dyadic.mul_exact(x, y)
-    r1 = special if special is not None else _round_product(prod, fmt)
+    r1 = special if special is not None else _dyadic.add_round(-0.0, prod, fmt)
     return _dyadic.add_round(a, r1, fmt)
 
 
@@ -100,7 +104,7 @@ def macs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     _check_operand(x, fmt, "x")
     _check_operand(y, fmt, "y")
     special, prod = _dyadic.mul_exact(x, y)
-    r1 = special if special is not None else _round_product(prod, fmt)
+    r1 = special if special is not None else _dyadic.add_round(-0.0, prod, fmt)
     return _dyadic.add_round(a32, r1, BINARY32)
 
 
@@ -118,18 +122,6 @@ def fmacs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     _check_operand(x, fmt, "x")
     _check_operand(y, fmt, "y")
     return _dyadic.fused_add_round(a32, x, y, BINARY32)
-
-
-def _round_product(prod: float, fmt: FpFormat) -> float:
-    if prod == 0.0:
-        return prod  # keep the product's zero sign
-    m, k = _dyadic.to_mk(prod)
-    return _dyadic.round_mk(m, k, fmt)
-
-
-def _add32(a: float, b: float) -> float:
-    """Single-precision addition of two binary32 values."""
-    return _dyadic.add_round(a, b, BINARY32)
 
 
 def fmac8_dot(
@@ -158,16 +150,11 @@ def fmac8_dot(
     acc = 0.0
     for i in range(len(w)):
         if i % chunk == 0:
-            master = _add32(master, acc)
+            master = _dyadic.add_round(master, acc, BINARY32)
             acc = 0.0
         acc = _dyadic.fused_add_round(acc, w[i], x[i], fmt)
-    master = _add32(master, acc)
-    if math.isnan(master):
-        return math.nan
-    if math.isinf(master):
-        return master
-    m, k = _dyadic.to_mk(master)
-    return _dyadic.round_mk(m, k, fmt, negative_zero=math.copysign(1.0, master) < 0 and master == 0.0)
+    master = _dyadic.add_round(master, acc, BINARY32)
+    return _dyadic.add_round(-0.0, master, fmt)  # -0.0 keeps a zero's sign
 
 
 # ── vectorized kernels ─────────────────────────────────────────────────
@@ -206,18 +193,14 @@ def _add_round_to_odd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(needs_nudge, np.nextafter(s, toward), s)
 
 
-def _fused_step_array(acc: np.ndarray, x: np.ndarray, y: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """round(acc + x*y, fmt) elementwise, exactly once. All inputs float64."""
-    prod = x * y  # exact: at most 48 significand bits, exponents in range
+def _fused_step_array(acc: np.ndarray, prod: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """round(acc + prod, fmt) elementwise, exactly once.  Both float64;
+    ``prod`` is an exact product (at most 48 significand bits)."""
     return roundfp_array(_add_round_to_odd(acc, prod), fmt).astype(np.float64)
 
 
 def _coerce_matrix(m, fmt: FpFormat, name: str) -> np.ndarray:
     """Validate a matmul operand and hand back float64 data."""
-    if isinstance(m, QuantTensor):
-        if m.fmt == fmt:
-            return m.data.astype(np.float64)
-        m = m.data
     a = np.asarray(m, dtype=np.float64)
     ok = _on_grid(a, fmt)
     if not ok.all():
@@ -282,61 +265,79 @@ def _fmacs_block(rows: np.ndarray, prods: np.ndarray) -> None:
         start = i + 1
 
 
-def _reduce_matmul(
-    a: np.ndarray, b: np.ndarray, mode: AccumMode, fmt: FpFormat, chunk: int
-) -> np.ndarray:
-    """Shared reduction: returns the pre-output accumulator as float64.
+class _Schedule(NamedTuple):
+    """Where an accumulate mode rounds."""
 
-    For MAC/FMAC/FMAC8 the result is already at format width; for
-    MACS/FMACS it is the binary32 master accumulator.  NaN lanes hold the
-    canonical NaN.
+    round_products: bool  # round each product into fmt before adding it
+    wide: bool            # accumulate in binary32 instead of in fmt
+    drains: bool          # drain the fmt accumulator into a binary32 master every chunk steps
+
+
+_SCHEDULES = {
+    AccumMode.MAC: _Schedule(round_products=True, wide=False, drains=False),
+    AccumMode.MACS: _Schedule(round_products=True, wide=True, drains=False),
+    AccumMode.FMAC: _Schedule(round_products=False, wide=False, drains=False),
+    AccumMode.FMACS: _Schedule(round_products=False, wide=True, drains=False),
+    AccumMode.FMAC8: _Schedule(round_products=False, wide=False, drains=True),
+}
+
+
+def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chunk: int) -> np.ndarray:
+    """Reduce each lane of a stream of exact product blocks under ``mode``.
+
+    ``blocks`` yields float64 arrays of shape ``(steps, *shape)`` in
+    ascending step order.  Returns the final accumulator as float32: the
+    format-width one for MAC and FMAC, the binary32 one for MACS, FMACS
+    and FMAC8's master.  NaN lanes hold the canonical NaN.
     """
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
+    s = _SCHEDULES[mode]
     # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes,
     # and binary32 accumulators legitimately overflow to infinity.
     with np.errstate(invalid="ignore", over="ignore"):
-        acc = _reduce_matmul_loops(a, b, mode, fmt, chunk, m, n, k)
-    acc[np.isnan(acc)] = np.nan
-    return acc
+        if s.wide:
+            # Row 0 of each block carries the binary32 running sum.
+            acc = np.zeros((1, *shape), dtype=np.float32)
+            for prods in blocks:
+                if s.round_products:
+                    # One float32 add per rounded product, in ascending order.
+                    rows = np.concatenate([acc, roundfp_array(prods, fmt)])
+                    np.add.accumulate(rows, axis=0, out=rows)
+                else:
+                    rows = np.concatenate([acc, np.empty(prods.shape, np.float32)])
+                    _fmacs_block(rows, prods)
+                acc = rows[-1:]
+            out = acc[0].copy()
+        else:
+            acc = np.zeros(shape)
+            master = np.zeros(shape, dtype=np.float32)
+            i = 0
+            for prods in blocks:
+                if s.round_products:
+                    prods = roundfp_array(prods, fmt).astype(np.float64)
+                for prod in prods:
+                    if s.drains and i % chunk == 0:
+                        master += acc.astype(np.float32)
+                        acc = np.zeros(shape)
+                    acc = _fused_step_array(acc, prod, fmt)
+                    i += 1
+            out = acc.astype(np.float32)
+            if s.drains:
+                out += master  # the final drain
+    out[np.isnan(out)] = np.nan
+    return out
 
 
-def _reduce_matmul_loops(a, b, mode, fmt, chunk, m, n, k):
-    if mode in (AccumMode.MACS, AccumMode.FMACS):
-        # Row 0 of each block carries the binary32 running sum.
-        acc = np.zeros((1, m, n), dtype=np.float32)
-        for prods in _product_blocks(a, b):
-            if mode is AccumMode.MACS:
-                # One float32 add per rounded product, in ascending order.
-                rows = np.concatenate([acc, roundfp_array(prods, fmt)])
-                np.add.accumulate(rows, axis=0, out=rows)
-            else:
-                rows = np.concatenate([acc, np.empty(prods.shape, np.float32)])
-                _fmacs_block(rows, prods)
-            acc = rows[-1:]
-        return acc[0].astype(np.float64)
-    acc = np.zeros((m, n), dtype=np.float64)
-    if mode is AccumMode.MAC:
-        for i in range(k):
-            prod16 = roundfp_array(a[:, i, None] * b[None, i, :], fmt).astype(np.float64)
-            acc = roundfp_array(_add_round_to_odd(acc, prod16), fmt).astype(np.float64)
-        return acc
-    if mode is AccumMode.FMAC:
-        for i in range(k):
-            acc = _fused_step_array(acc, a[:, i, None], b[None, i, :], fmt)
-        return acc
-    if mode is AccumMode.FMAC8:
-        master = np.zeros((m, n), dtype=np.float32)
-        for i in range(k):
-            if i % chunk == 0:
-                master = master + acc.astype(np.float32)
-                acc = np.zeros((m, n), dtype=np.float64)
-            acc = _fused_step_array(acc, a[:, i, None], b[None, i, :], fmt)
-        master = master + acc.astype(np.float32)
-        return master.astype(np.float64)
-    raise ValueError(f"unsupported mode {mode}")
+def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.ndarray:
+    """Check the arguments of a matmul and reduce: the accumulator state."""
+    mode = AccumMode.parse(mode)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
+    fa = _coerce_matrix(a, fmt, "a")
+    fb = _coerce_matrix(b, fmt, "b")
+    (m, k), (k2, n) = fa.shape, fb.shape
+    if k != k2:
+        raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
+    return _reduce(_product_blocks(fa, fb), (m, n), fmt, mode, chunk)
 
 
 def matmul(
@@ -345,20 +346,14 @@ def matmul(
     fmt: FpFormat,
     mode: "AccumMode | str" = AccumMode.FMACS,
     chunk: int = 8,
-) -> QuantTensor:
+) -> np.ndarray:
     """Matrix product with emulated accumulation, output rounded to fmt.
 
     Every output element is reduced independently over ascending inner
     index, so results are bit-deterministic regardless of tensor shapes
-    or threading.
+    or threading.  Returns float32.
     """
-    mode = AccumMode.parse(mode)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    fa = _coerce_matrix(a, fmt, "a")
-    fb = _coerce_matrix(b, fmt, "b")
-    acc = _reduce_matmul(fa, fb, mode, fmt, chunk)
-    return QuantTensor(roundfp_array(acc, fmt), fmt)
+    return roundfp_array(_accumulate(a, b, fmt, mode, chunk), fmt)
 
 
 def matmul_wide(
@@ -375,9 +370,4 @@ def matmul_wide(
     the accumulate mode, and the result stays at binary32 width for the
     master-weight update.
     """
-    mode = AccumMode.parse(mode)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    fa = _coerce_matrix(a, fmt, "a")
-    fb = _coerce_matrix(b, fmt, "b")
-    return _reduce_matmul(fa, fb, mode, fmt, chunk).astype(np.float32)
+    return _accumulate(a, b, fmt, mode, chunk)

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import telemetry
 from .formats import FpFormat, FpValue
 
-__all__ = ["RoundFlag", "RoundingOutcome", "QuantTensor", "roundfp", "roundfp_array", "roundfp_tensor"]
+__all__ = ["RoundFlag", "RoundingOutcome", "roundfp", "roundfp_array"]
 
 
 class RoundFlag(enum.Flag):
@@ -197,45 +196,3 @@ def _same_value(a: float, b: float) -> bool:
     if a == 0.0 and b == 0.0:
         return math.copysign(1.0, a) == math.copysign(1.0, b)
     return a == b
-
-
-@dataclass(frozen=True)
-class QuantTensor:
-    """A dense tensor whose elements are all representable in ``fmt``."""
-
-    data: np.ndarray
-    fmt: FpFormat
-
-    def __post_init__(self) -> None:
-        if self.data.dtype != np.float32:
-            raise TypeError("QuantTensor carries float32 data")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def stats(self, tensor_id: str, phase, step: int) -> "telemetry.DenormalStats":
-        return telemetry.DenormalStats.from_array(
-            self.data, self.fmt, tensor_id=tensor_id, phase=phase, step=step
-        )
-
-
-def roundfp_tensor(
-    x: np.ndarray,
-    fmt: FpFormat,
-    *,
-    sink: "telemetry.TelemetrySink | None" = None,
-    tensor_id: str = "",
-    phase=None,
-    step: int = 0,
-) -> QuantTensor:
-    """Elementwise roundfp over a tensor, optionally recording telemetry.
-
-    When a sink is given, a DenormalStats record for the quantized output
-    is appended under (tensor_id, phase, step).  Recording never changes
-    the numeric result.
-    """
-    qt = QuantTensor(roundfp_array(x, fmt), fmt)
-    if sink is not None:
-        sink.record(qt.stats(tensor_id, phase, step))
-    return qt

@@ -127,18 +127,34 @@ class RunSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "RunSummary":
+        """Parse :meth:`to_json` output.  A payload that is not an object
+        of the expected keys and value types raises ValueError."""
         d = json.loads(text)
-        return cls(
-            run_id=d["run_id"],
-            fmt=d["format"],
-            dls=d["dls"],
-            accum_mode=d["accum_mode"],
-            per_tensor_max=d["per_tensor_max_denormal_fraction"],
-            global_max=d["global_max_denormal_fraction"],
-            n_records=d["n_records"],
-            final_loss=d.get("final_loss"),
-            outcome=d.get("outcome"),
-        )
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, found {type(d).__name__}")
+        fields = {}
+        for key, (name, types) in _SUMMARY_KEYS.items():
+            value = d.get(key)
+            # bool is an int subclass, but true is not a number here
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                wants = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ValueError(f"{key} must be {wants}, found {json.dumps(value)}")
+            fields[name] = value
+        return cls(**fields)
+
+
+# summary.json key -> (RunSummary field, accepted value types)
+_SUMMARY_KEYS = {
+    "run_id": ("run_id", (str,)),
+    "format": ("fmt", (str,)),
+    "dls": ("dls", (bool,)),
+    "accum_mode": ("accum_mode", (str,)),
+    "per_tensor_max_denormal_fraction": ("per_tensor_max", (dict,)),
+    "global_max_denormal_fraction": ("global_max", (int, float)),
+    "n_records": ("n_records", (int,)),
+    "final_loss": ("final_loss", (int, float, type(None))),
+    "outcome": ("outcome", (str, type(None))),
+}
 
 
 @dataclass

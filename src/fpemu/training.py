@@ -318,7 +318,7 @@ class StepEnv:
         if self.fmt is None and self.dtype is np.float64:
             return a @ b
         fmt = self.fmt or BINARY32
-        return matmul(a, b, fmt, mode=self.mode, chunk=self.chunk).data
+        return matmul(a, b, fmt, mode=self.mode, chunk=self.chunk)
 
     def matmul_wide(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.fmt is None and self.dtype is np.float64:

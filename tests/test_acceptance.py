@@ -15,17 +15,25 @@ from __future__ import annotations
 
 import contextlib
 import io
-import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from fpemu._dyadic import add_round, fused_add_round, round_mk, to_mk
+from fpemu._dyadic import add_round
 from fpemu.cli import main as cli_main
-from fpemu.formats import BINARY32, FpFormat, decode16_array
-from fpemu.instructions import fmac, fmac8_dot, fmacs, mac, macs
+from fpemu.formats import FpFormat, decode16_array
+from fpemu.instructions import (
+    AccumMode,
+    _fmacs_block,
+    _fused_step_array,
+    _reduce,
+    fmac,
+    fmac8_dot,
+    fmacs,
+    macs,
+)
 from fpemu.oracle import (
     dot_oracle,
     fmac_oracle,
@@ -54,25 +62,9 @@ def _bits_match(a, b) -> np.ndarray:
 
 
 def _dy_round(x: float, fmt: FpFormat) -> float:
-    """Scalar big-integer reference for rounding a finite value."""
-    m, k = to_mk(x)
-    return round_mk(m, k, fmt,
-                    negative_zero=(x == 0.0 and math.copysign(1.0, x) < 0.0))
-
-
-def _dy_dot(w, x, fmt: FpFormat, chunk: int) -> float:
-    """Step-by-step big-integer reference for the chunked dot product."""
-    master = 0.0
-    acc = 0.0
-    for i in range(len(w)):
-        if i > 0 and i % chunk == 0:
-            master = add_round(master, acc, BINARY32)
-            acc = 0.0
-        acc = fused_add_round(acc, float(w[i]), float(x[i]), fmt)
-    master = add_round(master, acc, BINARY32)
-    if math.isnan(master) or math.isinf(master):
-        return master
-    return _dy_round(master, fmt)
+    """Scalar big-integer reference for rounding a finite value; adding
+    it to -0 keeps a zero's sign."""
+    return add_round(-0.0, x, fmt)
 
 
 def _f16_ref(x: np.ndarray) -> np.ndarray:
@@ -275,17 +267,19 @@ def test_c03_rounding_oracle_agreement():
 # 4. chunked dot product vs step-by-step oracle
 
 
-def _quantized_vector(rng, n, fmt, lo, hi):
+def _normal_vector(rng, n, lo, hi):
+    """float32 standard normals scaled by random powers of two in [lo, hi)."""
     e = rng.integers(lo, hi, n).astype(np.float64)
-    v = (rng.standard_normal(n) * 2.0 ** e).astype(np.float32)
-    return roundfp_array(v, fmt)
+    return (rng.standard_normal(n) * 2.0 ** e).astype(np.float32)
 
 
-def _c04_pairs(fmt: FpFormat, rng: np.random.Generator):
-    """Yield (w, x, chunk) test vectors: mostly short random pairs, plus
-    engineered denormal partial sums and intermediate overflow."""
+def _c04_pairs(fmt: FpFormat, rng: np.random.Generator) -> list:
+    """(w, x, chunk) test vectors: mostly short random pairs, plus
+    engineered denormal partial sums and intermediate overflow.  All
+    vectors are drawn first and then rounded into ``fmt`` in one call."""
     p = fmt.mant_bits
     mid = fmt.e_min // 2
+    pairs = []
     n_random = 97_000
     kinds = rng.choice(5, n_random, p=[0.80, 0.12, 0.05, 0.025, 0.005])
     bounds = [(0, 9), (9, 33), (33, 97), (97, 385), (385, 1025)]
@@ -297,30 +291,78 @@ def _c04_pairs(fmt: FpFormat, rng: np.random.Generator):
     lengths[1] = 1024
     for n in lengths:
         n = int(n)
-        w = _quantized_vector(rng, n, fmt, fmt.e_min - 2, fmt.e_max // 2)
-        x = _quantized_vector(rng, n, fmt, fmt.e_min - 2, fmt.e_max // 2)
-        yield w, x, 8
+        w = _normal_vector(rng, n, fmt.e_min - 2, fmt.e_max // 2)
+        x = _normal_vector(rng, n, fmt.e_min - 2, fmt.e_max // 2)
+        pairs.append((w, x, 8))
 
     # products land in the denormal band, partial sums cancel around it
     for _ in range(1500):
         n = int(rng.integers(4, 33))
-        w = _quantized_vector(rng, n, fmt, mid - p // 2 - 2, mid + 2)
-        x = _quantized_vector(rng, n, fmt, mid - p // 2 - 2, mid + 2)
-        yield w, x, 8
+        w = _normal_vector(rng, n, mid - p // 2 - 2, mid + 2)
+        x = _normal_vector(rng, n, mid - p // 2 - 2, mid + 2)
+        pairs.append((w, x, 8))
 
     # run the 16-bit accumulator over the overflow threshold mid-chunk;
     # alternating signs make opposing infinities meet in the wide master
+    # (the planted values are format values, which rounding keeps)
     big = np.float32(fmt.max_finite)
     one = np.float32(1.0)
     for i in range(1500):
         n = int(rng.integers(6, 25))
-        w = _quantized_vector(rng, n, fmt, fmt.e_max // 2, fmt.e_max - 1)
-        x = _quantized_vector(rng, n, fmt, 0, fmt.e_max // 2)
+        w = _normal_vector(rng, n, fmt.e_max // 2, fmt.e_max - 1)
+        x = _normal_vector(rng, n, 0, fmt.e_max // 2)
         k = int(rng.integers(0, n - 4))
         w[k:k + 4] = [big, big, -big, -big][: n - k][:4]
         x[k:k + 4] = one
-        yield w, x, int(rng.choice([1, 8]))
-    yield np.array([big, big, -big, -big]), np.array([one] * 4), 2
+        pairs.append((w, x, int(rng.choice([1, 8]))))
+    pairs.append((np.array([big, big, -big, -big]), np.array([one] * 4), 2))
+
+    vectors = [v for w, x, _ in pairs for v in (w, x)]
+    ends = np.cumsum([v.size for v in vectors])[:-1]
+    rounded = np.split(roundfp_array(np.concatenate(vectors), fmt), ends)
+    return [(rounded[2 * j], rounded[2 * j + 1], chunk) for j, (_, _, chunk) in enumerate(pairs)]
+
+
+# A batch of c04 pairs holds at most this many padded products.
+_C04_BATCH_PRODUCTS = 1 << 16
+
+
+def _fmac8_kernel_dots(pairs, fmt: FpFormat) -> np.ndarray:
+    """Each (w, x, chunk) pair's chunked dot product through the FMAC8 array
+    reduction, rounded into ``fmt`` as :func:`matmul` rounds its output.
+
+    Pairs of one chunk and one length residue mod chunk run as the lanes
+    of one reduction, shortest first, with at most _C04_BATCH_PRODUCTS
+    products per batch.  A shorter pair is padded on the left with +0
+    products, by a multiple of chunk steps: that leaves the accumulator
+    and the master at +0 when the pair's first step comes.  Padding on
+    the right would not be neutral, since +0 added to a -0 accumulator
+    gives +0.
+    """
+    got = np.empty(len(pairs), dtype=np.float32)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (w, _, chunk) in enumerate(pairs):
+        groups.setdefault((chunk, len(w) % chunk), []).append(j)
+
+    def run(batch, chunk):
+        steps = len(pairs[batch[-1]][0])
+        prods = np.zeros((steps, len(batch)))
+        for lane, j in enumerate(batch):
+            w, x, _ = pairs[j]
+            prods[steps - len(w):, lane] = np.asarray(w, np.float64) * np.asarray(x, np.float64)
+        master = _reduce(iter([prods]), (len(batch),), fmt, AccumMode.FMAC8, chunk)
+        got[batch] = roundfp_array(master, fmt)
+
+    for (chunk, _), members in groups.items():
+        members.sort(key=lambda j: len(pairs[j][0]))
+        batch: list[int] = []
+        for j in members:
+            if batch and (len(batch) + 1) * len(pairs[j][0]) > _C04_BATCH_PRODUCTS:
+                run(batch, chunk)
+                batch = []
+            batch.append(j)
+        run(batch, chunk)
+    return got
 
 
 def test_c04_dot_product_oracle_agreement():
@@ -331,13 +373,12 @@ def test_c04_dot_product_oracle_agreement():
     xchecked = 0
     for i, fmt in enumerate(FORMATS):
         rng = np.random.default_rng(4040 + i)
-        count = 0
-        for w, x, chunk in _c04_pairs(fmt, rng):
-            got = float(fmac8_dot(w, x, fmt, chunk=chunk))
-            want = _dy_dot(w, x, fmt, chunk)
-            if not bool(_bits_match(got, want)):
+        pairs = _c04_pairs(fmt, rng)
+        got = _fmac8_kernel_dots(pairs, fmt)
+        for count, (w, x, chunk) in enumerate(pairs, 1):
+            want = float(fmac8_dot(w, x, fmt, chunk=chunk))
+            if not bool(_bits_match(got[count - 1], want)):
                 mismatches += 1
-            count += 1
             lens.append(len(w))
             # exact-rational crosscheck on a thin slice
             if count % 400 == 0:
@@ -346,14 +387,15 @@ def test_c04_dot_product_oracle_agreement():
                 if not bool(_bits_match(want, frac)):
                     mismatches += 1
                 xchecked += 1
-        per_format.append(count)
+        per_format.append(len(pairs))
     dt = time.monotonic() - t0
     _report(mismatches == 0 and min(per_format) >= 100_000
             and min(lens) == 0 and max(lens) == 1024,
             f"4. chunked dot oracle agreement: {min(per_format)} vector pairs "
             f"per format x {len(FORMATS)} formats, n in [{min(lens)}, "
             f"{max(lens)}], incl. denormal partial sums and mid-chunk "
-            f"overflow, {xchecked} pairs also vs exact-rational oracle, "
+            f"overflow, FMAC8 array reduction vs big-integer fmac8_dot, "
+            f"{xchecked} pairs also vs exact-rational oracle, "
             f"{mismatches} mismatches in {dt:.1f}s (tolerance: zero)")
 
 
@@ -374,16 +416,20 @@ def test_c05_instruction_oracle_agreement():
         a32 = rng.integers(0, 1 << 32, n, dtype=np.uint64)
         a32 = a32.astype(np.uint32).view(np.float32)
 
-        got_f = np.empty(n, dtype=np.float32)
+        # the array kernels, one step per triple; the accumulators are row 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            prods = xs.astype(np.float64) * ys.astype(np.float64)
+            got_f = _fused_step_array(accs.astype(np.float64), prods, fmt)
+            rows = np.stack([a32, np.empty(n, dtype=np.float32)])
+            _fmacs_block(rows, prods[None])
+        got_fs = rows[1]
+
         want_f = np.empty(n, dtype=np.float32)
-        got_fs = np.empty(n, dtype=np.float32)
         want_fs = np.empty(n, dtype=np.float32)
         for j in range(n):
             a, x, y, aw = float(accs[j]), float(xs[j]), float(ys[j]), float(a32[j])
-            got_f[j] = fmac(a, x, y, fmt)
-            want_f[j] = fused_add_round(a, x, y, fmt)
-            got_fs[j] = fmacs(aw, x, y, fmt)
-            want_fs[j] = fused_add_round(aw, x, y, BINARY32)
+            want_f[j] = fmac(a, x, y, fmt)
+            want_fs[j] = fmacs(aw, x, y, fmt)
         mismatches += int((~_bits_match(got_f, want_f)).sum())
         mismatches += int((~_bits_match(got_fs, want_fs)).sum())
 
@@ -419,7 +465,8 @@ def test_c05_instruction_oracle_agreement():
     dt = time.monotonic() - t0
     _report(mismatches == 0 and min(exact_checked) >= 10_000,
             f"5. instruction oracle agreement: {n} triples per format x "
-            f"{len(FORMATS)} formats for fmac and fmacs, plus macs==fmacs on "
+            f"{len(FORMATS)} formats for fmac and fmacs, array step kernels "
+            f"vs big-integer instructions, plus macs==fmacs on "
             f"{min(exact_checked)}..{max(exact_checked)} exact-product "
             f"triples, {mismatches} mismatches in {dt:.1f}s (tolerance: zero)")
 

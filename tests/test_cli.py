@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from fpemu.cli import _CliError, main, parse_value
+from fpemu.telemetry import RunSummary
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -150,6 +151,37 @@ def test_report_flags_corrupt_summaries(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "summary.json" in captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    [],                                          # valid JSON, not an object
+    {"global_max_denormal_fraction": None},      # a null where a number belongs
+])
+def test_report_skips_summaries_of_the_wrong_shape(tmp_path, capsys, payload):
+    good = RunSummary("good_run", "1/5/10/d", False, "fmacs", {"w": 0.5}, 0.5, 1,
+                      final_loss=1.0, outcome="converged")
+    (tmp_path / "good").mkdir()
+    (tmp_path / "good" / "summary.json").write_text(good.to_json())
+    if isinstance(payload, dict):
+        payload = {**json.loads(good.to_json()), **payload}
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "summary.json").write_text(json.dumps(payload))
+    assert main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "good_run" in captured.out
+    assert "skipping" in captured.err and "bad" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_train_out_that_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["train", "--task", "regression", "--set", "steps=2",
+               "--out", str(blocker / "runs")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fpemu: error: cannot write artifacts to ")
+    assert err.count("\n") == 1
 
 
 def test_report_empty_dir(tmp_path, capsys):

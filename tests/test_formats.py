@@ -122,12 +122,28 @@ def test_classify_array_agrees_with_scalar():
     rng = np.random.default_rng(3)
     words = rng.integers(0, 1 << 16, size=2000, dtype=np.uint16)
     vals = words.view(np.float16).astype(np.float32)
-    codes = classify_array(vals, HALF)
-    for v, c in zip(vals.tolist(), codes.tolist()):
-        assert classify(v, HALF).name == FpClass(
-            [FpClass.ZERO, FpClass.DENORMAL, FpClass.NORMAL,
-             FpClass.INFINITY, FpClass.NAN][c]
-        ).name
+    # raw binary32 bit patterns, signaling NaNs (quiet bit clear) included
+    raw = rng.integers(0, 1 << 32, size=4000, dtype=np.uint64).astype(np.uint32)
+    snan = np.array([0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x00000001, 0x80000000],
+                    dtype=np.uint32)
+    raw32 = np.concatenate([raw, snan]).view(np.float32)
+    # binary64: the same values widened, and raw binary64 bit patterns
+    with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
+        raw64 = np.concatenate([
+            raw32.astype(np.float64),
+            rng.integers(0, 1 << 64, size=4000, dtype=np.uint64).view(np.float64),
+        ])
+    classes = list(FpClass)
+    for fmt in (HALF, WIDE, BF8):
+        for x in (vals, raw32, raw64):
+            codes = classify_array(x, fmt)
+            assert codes.dtype == np.uint8 and codes.shape == x.shape
+            for v, c in zip(x.tolist(), codes.tolist()):
+                assert classes[c] is classify(v, fmt)
+    # binary64 values below binary32's range and a 2-D view
+    tiny = np.array([[2.0**-149, -(2.0**-160)], [np.nan, -np.inf]])
+    assert classify_array(tiny, BF8).tolist() == [[1, 1], [4, 3]]
+    assert classify_array(tiny.T, BF8).tolist() == [[1, 4], [1, 3]]
 
 
 def test_encoding_partition_counts():

@@ -289,6 +289,10 @@ def _same_bits32(got, want):
 # m x k x n of the products training runs: the conv forward and weight
 # gradient, the cnn head forward and weight gradient, the regression head.
 TRAINING_SHAPES = ((32, 108, 4), (4, 32, 108), (1152, 9, 3), (3, 1152, 9), (32, 16, 1))
+# Shapes that cross product blocks: a 64x85 output holds 3 steps per
+# block, so FMAC8 drains fall at different places in successive blocks,
+# and k = 600 spans three blocks of at most 256 steps.
+BLOCK_SHAPES = ((64, 20, 85), (3, 600, 2))
 
 
 def _special_operands(rng, m, k, n, fmt):
@@ -313,7 +317,7 @@ def _special_operands(rng, m, k, n, fmt):
 
 def _check_lanes(a, b, fmt, mode, chunk, lanes):
     wide = matmul_wide(a, b, fmt, mode=mode, chunk=chunk)
-    narrow = matmul(a, b, fmt, mode=mode, chunk=chunk).data
+    narrow = matmul(a, b, fmt, mode=mode, chunk=chunk)
     for i, j in lanes:
         want_wide, want = _oracle_chain(a[i].tolist(), b[:, j].tolist(), fmt, mode, chunk)
         where = f"{a.shape[0]}x{a.shape[1]}x{b.shape[1]} {fmt} {mode.value} [{i},{j}]"
@@ -324,18 +328,20 @@ def _check_lanes(a, b, fmt, mode, chunk, lanes):
 @pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
 def test_matmul_matches_scalar_chains(mode):
     rng = np.random.default_rng(19)
+    block_rng = np.random.default_rng(23)
     for fmt in (HALF, WIDE_N, BINARY32):
         # random normals, every lane
         a = roundfp_array(rng.standard_normal((3, 10)).astype(np.float32), fmt)
         b = roundfp_array(rng.standard_normal((10, 4)).astype(np.float32), fmt)
         _check_lanes(a, b, fmt, mode, 4, [(i, j) for i in range(3) for j in range(4)])
-        # training shapes with special operands, sampled lanes: the
-        # infinity row, the NaN column, the overflow lane, two at random
-        for m, k, n in TRAINING_SHAPES:
-            a, b = _special_operands(rng, m, k, n, fmt)
-            lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
-                     (int(rng.integers(m)), int(rng.integers(n)))}
-            _check_lanes(a, b, fmt, mode, 8, sorted(lanes))
+        # special operands, sampled lanes: the infinity row, the NaN
+        # column, the overflow lane, two at random
+        for shapes, r in ((TRAINING_SHAPES, rng), (BLOCK_SHAPES, block_rng)):
+            for m, k, n in shapes:
+                a, b = _special_operands(r, m, k, n, fmt)
+                lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
+                         (int(r.integers(m)), int(r.integers(n)))}
+                _check_lanes(a, b, fmt, mode, 8, sorted(lanes))
 
 
 def test_fmacs_binary32_tie_is_not_double_rounded():
@@ -371,7 +377,7 @@ def test_matmul_negative_zero_products_sum_to_positive_zero(mode):
     # every accumulator starts at +0, and (+0) + (-0) is +0
     a = np.array([[-1.0, 1.0]])
     b = np.array([[0.0], [-0.0]])
-    for out in (matmul_wide(a, b, HALF, mode=mode), matmul(a, b, HALF, mode=mode).data):
+    for out in (matmul_wide(a, b, HALF, mode=mode), matmul(a, b, HALF, mode=mode)):
         assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
     assert _oracle_chain(a[0], b[:, 0], HALF, mode, 8) == (0.0, 0.0)
 
@@ -385,19 +391,20 @@ def test_matmul_nan_is_canonical(mode):
     canonical = np.float32(np.nan).view(np.uint32)
     for fmt in (HALF, BINARY32):
         wide = matmul_wide(a, b, fmt, mode=mode, chunk=2)
-        narrow = matmul(a, b, fmt, mode=mode, chunk=2).data
+        narrow = matmul(a, b, fmt, mode=mode, chunk=2)
         for out in (wide, narrow):
             assert np.isnan(out).all()
             assert np.all(out.view(np.uint32) == canonical)
 
 
-def test_matmul_wide_is_prerounding_state():
+@pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
+def test_matmul_wide_is_prerounding_state(mode):
     rng = np.random.default_rng(29)
     a = roundfp_array(rng.standard_normal((4, 9)).astype(np.float32), HALF)
     b = roundfp_array(rng.standard_normal((9, 3)).astype(np.float32), HALF)
-    wide = matmul_wide(a, b, HALF, mode=AccumMode.FMACS)
-    assert wide.dtype == np.float32
-    narrow = matmul(a, b, HALF, mode=AccumMode.FMACS).data
+    wide = matmul_wide(a, b, HALF, mode=mode, chunk=4)
+    narrow = matmul(a, b, HALF, mode=mode, chunk=4)
+    assert wide.dtype == narrow.dtype == np.float32
     assert np.array_equal(roundfp_array(wide, HALF), narrow)
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.oracle import round_float
-from fpemu.rounding import RoundFlag, _on_grid, roundfp, roundfp_array, roundfp_tensor
-from fpemu.telemetry import Phase, TelemetrySink
+from fpemu.rounding import RoundFlag, _on_grid, roundfp, roundfp_array
 
 HALF = FpFormat.parse("1/5/10/d")
 HALF_N = FpFormat.parse("1/5/10/n")
@@ -251,25 +250,3 @@ def test_result_is_always_representable():
         # re-rounding a representable value changes nothing
         again = roundfp_array(got[finite], fmt)
         assert np.array_equal(again, got[finite])
-
-
-# ── tensor wrapper ─────────────────────────────────────────────────────
-
-
-def test_roundfp_tensor_records_stats():
-    sink = TelemetrySink(run_id="t")
-    x = np.array([2.0**-24, 1.0, 0.0, np.inf], dtype=np.float32)
-    qt = roundfp_tensor(x, HALF, sink=sink, tensor_id="w", phase=Phase.WEIGHT, step=3)
-    assert qt.fmt is HALF
-    assert qt.data.dtype == np.float32
-    assert len(sink.records) == 1
-    rec = sink.records[0]
-    assert rec.key() == ("w", 3, "weight")
-    assert rec.n_denormal == 1 and rec.n_zero == 1 and rec.n_inf == 1
-    assert rec.fraction_denormal == 0.25
-
-
-def test_roundfp_tensor_without_sink():
-    qt = roundfp_tensor(np.ones(4, dtype=np.float32), WIDE)
-    assert np.all(qt.data == 1.0)
-    assert qt.shape == (4,)
