@@ -72,15 +72,13 @@ def parse_value(text: str) -> float:
         return math.nan
     try:
         if low.startswith("2^"):
-            k = int(low[2:], 10)
-            try:
-                return sign * math.ldexp(1.0, k)
-            except OverflowError:
-                return sign * math.inf
+            return sign * math.ldexp(1.0, int(low[2:], 10))
         if low.startswith("0x"):
             return sign * float.fromhex(low)
         return sign * float(low)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError:  # beyond binary64, as float() reads 1e400
+        return sign * math.inf
+    except ValueError as exc:
         raise _CliError(f"cannot parse value {text!r}: {exc}") from None
 
 
@@ -151,7 +149,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
 def _read_vector_file(path: Path) -> tuple[list[float], list[float]]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     rows: list[list[float]] = []
     for raw in text.splitlines():
@@ -171,6 +169,8 @@ def _read_vector_file(path: Path) -> tuple[list[float], list[float]]:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     fmt = _parse_format(args.format)
+    if args.chunk < 1:
+        raise _CliError("--chunk must be positive")
     w, x = _read_vector_file(Path(args.file))
     wq = [roundfp(v, fmt).value.surrogate for v in w]
     xq = [roundfp(v, fmt).value.surrogate for v in x]
@@ -189,9 +189,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read config {args.config}: {exc}") from None
-        entries.update(parse_config_text(text))
+        try:
+            entries.update(parse_config_text(text))
+        except ValueError as exc:
+            raise _CliError(f"{args.config}: {exc}") from None
     if args.task is not None:
         entries["task"] = args.task
     for item in args.set or []:

@@ -233,6 +233,11 @@ def classify_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
 #
 # Bit layout, MSB to LSB: sign | biased exponent (e bits) | mantissa (p bits).
 # Only formats whose total width is 16 have a wire format.
+#
+# A word is a binary32 bit pattern with its exponent rebiased and its
+# mantissa cut short: the 15-bit magnitude field shifted left by 23 - p
+# reads as binary32 as the format value times 2^(bias - 127), denormals
+# included (their quantum becomes 2^(-126 - p) >= 2^-149).
 
 
 def _require_width16(fmt: FpFormat) -> None:
@@ -240,141 +245,60 @@ def _require_width16(fmt: FpFormat) -> None:
         raise ValueError(f"{fmt} is {fmt.width} bits wide; encode16/decode16 need 16")
 
 
+def _inf_word(fmt: FpFormat) -> int:
+    return ((1 << fmt.exp_bits) - 1) << fmt.mant_bits
+
+
 def canonical_nan16(fmt: FpFormat) -> int:
     """Canonical NaN word: sign 0, exponent all ones, mantissa MSB set."""
     _require_width16(fmt)
-    ones = (1 << fmt.exp_bits) - 1
-    return (ones << fmt.mant_bits) | (1 << (fmt.mant_bits - 1))
+    return _inf_word(fmt) | (1 << (fmt.mant_bits - 1))
 
 
 def encode16(value: float, fmt: FpFormat) -> int:
     """Encode a representable value into its 16-bit word."""
-    _require_width16(fmt)
-    if math.isnan(value):
-        return canonical_nan16(fmt)
-    sign = 1 if math.copysign(1.0, value) < 0 else 0
-    if math.isinf(value):
-        return (sign << 15) | (((1 << fmt.exp_bits) - 1) << fmt.mant_bits)
-    if value == 0.0:
-        return sign << 15
-    mag = abs(value)
-    _, exp = math.frexp(mag)
-    e_val = exp - 1
-    if e_val >= fmt.e_min:
-        mant_full = round(mag * math.ldexp(1.0, fmt.mant_bits - e_val))
-        if mant_full != mag * math.ldexp(1.0, fmt.mant_bits - e_val) or e_val > fmt.e_max:
-            raise ValueError(f"{value!r} is not representable in {fmt}")
-        exp_field = e_val + fmt.bias
-        mant_field = mant_full - (1 << fmt.mant_bits)
-    else:
-        mant_field = round(mag * math.ldexp(1.0, fmt.mant_bits - fmt.e_min))
-        if (
-            not fmt.denormals
-            or mant_field != mag * math.ldexp(1.0, fmt.mant_bits - fmt.e_min)
-            or not 1 <= mant_field < (1 << fmt.mant_bits)
-        ):
-            raise ValueError(f"{value!r} is not representable in {fmt}")
-        exp_field = 0
-    return (sign << 15) | (exp_field << fmt.mant_bits) | mant_field
+    return int(encode16_array(value, fmt))
 
 
 def decode16(word: int, fmt: FpFormat) -> float:
     """Decode a 16-bit word. In /n formats, denormal encodings decode to
     signed zero (they are invalid and canonicalized away)."""
-    _require_width16(fmt)
     if not 0 <= word < (1 << 16):
         raise ValueError(f"word {word!r} out of 16-bit range")
-    sign = -1.0 if word >> 15 else 1.0
-    exp_field = (word >> fmt.mant_bits) & ((1 << fmt.exp_bits) - 1)
-    mant_field = word & ((1 << fmt.mant_bits) - 1)
-    if exp_field == (1 << fmt.exp_bits) - 1:
-        if mant_field == 0:
-            return sign * math.inf
-        return math.nan
-    if exp_field == 0:
-        if not fmt.denormals:
-            mant_field = 0
-        return sign * math.ldexp(float(mant_field), fmt.e_min - fmt.mant_bits)
-    e_val = exp_field - fmt.bias
-    return sign * math.ldexp(float((1 << fmt.mant_bits) + mant_field), e_val - fmt.mant_bits)
+    return float(decode16_array(word, fmt))
 
 
 def encode16_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Vectorized :func:`encode16` for tensor dumps. Returns uint16."""
+    """Vectorized :func:`encode16` for tensor dumps. Returns uint16.
+
+    Raises ValueError unless every value is representable in ``fmt``.
+    """
     _require_width16(fmt)
     a = np.asarray(values, dtype=np.float64)
-    sign = np.signbit(a).astype(np.uint32) << 15
-    out = np.zeros(a.shape, dtype=np.uint32)
-
-    nan_mask = np.isnan(a)
-    inf_mask = np.isinf(a)
-    zero_mask = a == 0.0
-    fin_mask = ~(nan_mask | inf_mask | zero_mask)
-
-    mag = np.abs(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, exp = np.frexp(mag)
-    e_val = exp - 1
-    normal = fin_mask & (e_val >= fmt.e_min)
-    denorm = fin_mask & ~normal
-
-    # Scale to integer significands.  Values are representable, so the
-    # products are exact and at most 2^24.
-    sig = np.zeros(a.shape, dtype=np.int64)
-    sig[normal] = np.rint(
-        mag[normal] * np.exp2(fmt.mant_bits - e_val[normal].astype(np.float64))
-    ).astype(np.int64)
-    sig[denorm] = np.rint(mag[denorm] * np.exp2(fmt.mant_bits - fmt.e_min)).astype(np.int64)
-
-    bad = np.zeros(a.shape, dtype=bool)
-    bad[normal] = (
-        sig[normal] * np.exp2(e_val[normal].astype(np.float64) - fmt.mant_bits) != mag[normal]
-    ) | (e_val[normal] > fmt.e_max)
-    bad[denorm] = (
-        sig[denorm] * np.exp2(float(fmt.e_min - fmt.mant_bits)) != mag[denorm]
-    ) | (not fmt.denormals)
+    with np.errstate(over="ignore"):  # beyond binary32's range: rejected below
+        scaled = (np.abs(a) * 2.0 ** (fmt.bias - 127)).astype(np.float32)
+    words = np.minimum(scaled.view(np.uint32) >> (23 - fmt.mant_bits), _inf_word(fmt))
+    words |= np.signbit(a).astype(np.uint32) << 15
+    nan = np.isnan(a)
+    words = np.where(nan, canonical_nan16(fmt), words)
+    # A value is representable iff its word decodes back to it.
+    bad = ~nan & (decode16_array(words, fmt) != a)
     if bad.any():
-        i = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"value {a[i]!r} is not representable in {fmt}")
-
-    ones = (1 << fmt.exp_bits) - 1
-    out[normal] = sign[normal] | (
-        ((e_val[normal] + fmt.bias).astype(np.uint32) << fmt.mant_bits)
-        | (sig[normal] - (1 << fmt.mant_bits)).astype(np.uint32)
-    )
-    out[denorm] = sign[denorm] | sig[denorm].astype(np.uint32)
-    out[zero_mask] = sign[zero_mask]
-    out[inf_mask] = sign[inf_mask] | np.uint32(ones << fmt.mant_bits)
-    out[nan_mask] = np.uint32(canonical_nan16(fmt))
-    return out.astype(np.uint16)
+        raise ValueError(f"value {float(a[bad][0])!r} is not representable in {fmt}")
+    return words.astype(np.uint16)
 
 
 def decode16_array(words: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Vectorized :func:`decode16`. Returns float32."""
+    """Vectorized :func:`decode16`. Returns float32; every NaN word
+    decodes to the canonical (positive) NaN."""
     _require_width16(fmt)
     w = np.asarray(words, dtype=np.uint16).astype(np.uint32)
-    sign = np.where(w >> 15, -1.0, 1.0)
-    exp_field = ((w >> fmt.mant_bits) & ((1 << fmt.exp_bits) - 1)).astype(np.int64)
-    mant_field = (w & ((1 << fmt.mant_bits) - 1)).astype(np.int64)
-
-    ones = (1 << fmt.exp_bits) - 1
-    out = np.empty(w.shape, dtype=np.float64)
-
-    special = exp_field == ones
-    sub = exp_field == 0
-    normal = ~special & ~sub
-
+    mag = w & 0x7FFF
     if not fmt.denormals:
-        mant_sub = np.zeros_like(mant_field)
-    else:
-        mant_sub = mant_field
-    out[sub] = mant_sub[sub] * math.ldexp(1.0, fmt.e_min - fmt.mant_bits)
-    out[normal] = (
-        ((1 << fmt.mant_bits) + mant_field[normal]).astype(np.float64)
-        * np.exp2((exp_field[normal] - fmt.bias - fmt.mant_bits).astype(np.float64))
-    )
-    out[special] = np.where(mant_field[special] == 0, np.inf, np.nan)
-    out *= sign
-    # NaN sign is not meaningful; decode to the canonical (positive) NaN.
-    out[np.isnan(out)] = np.nan
-    return out.astype(np.float32)
+        mag = np.where(mag >> fmt.mant_bits == 0, 0, mag)
+    inf = _inf_word(fmt)
+    # Specials take binary32's infinity pattern, which the multiply keeps;
+    # the NaN words are replaced afterwards.
+    bits = np.where(mag < inf, mag << (23 - fmt.mant_bits), 0x7F800000) | (w >> 15 << 31)
+    out = bits.view(np.float32) * np.float32(2.0 ** (127 - fmt.bias))
+    return np.where(mag > inf, np.float32(np.nan), out)

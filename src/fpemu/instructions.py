@@ -124,9 +124,7 @@ def fmacs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     return _dyadic.fused_add_round(a32, x, y, BINARY32)
 
 
-def fmac8_dot(
-    w, x, fmt: FpFormat, chunk: int = 8, *, validate: bool = True
-) -> float:
+def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
     """Chunked fused dot product, the sum-of-products a dot unit built
     from FMAC instructions would produce.
 
@@ -141,11 +139,10 @@ def fmac8_dot(
         raise ValueError(f"length mismatch: {len(w)} vs {len(x)}")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    if validate:
-        for i, v in enumerate(w):
-            _check_operand(v, fmt, f"w[{i}]")
-        for i, v in enumerate(x):
-            _check_operand(v, fmt, f"x[{i}]")
+    for i, v in enumerate(w):
+        _check_operand(v, fmt, f"w[{i}]")
+    for i, v in enumerate(x):
+        _check_operand(v, fmt, f"x[{i}]")
     master = 0.0
     acc = 0.0
     for i in range(len(w)):

@@ -108,6 +108,14 @@ class TrainConfig:
             raise ValueError("steps and batch_size must be positive")
         if self.telemetry_interval < 1:
             raise ValueError("telemetry_interval must be positive")
+        if self.chunk < 1:
+            raise ValueError("chunk must be positive")
+        if not (math.isfinite(self.lr) and math.isfinite(self.momentum)):
+            raise ValueError("lr and momentum must be finite")
+        if self.divergence_patience < 1:
+            raise ValueError("divergence_patience must be positive")
+        if not self.converged_loss <= self.degraded_loss:
+            raise ValueError("need converged_loss <= degraded_loss")
 
     @property
     def fmt_name(self) -> str:
@@ -655,7 +663,12 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     Artifacts: ``config.txt`` (the resolved configuration),
     ``loss.csv`` (step,loss,scale,skipped), ``telemetry.csv`` and
     ``summary.json``.  Identical configs produce byte-identical files.
+    The directory is created first, so a path that cannot be written
+    fails before the run rather than after it.
     """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     data = build_task_data(cfg.task, cfg.seed)
     model = build_model(cfg, data)
     batch_rng = np.random.default_rng([cfg.seed, 2])
@@ -766,12 +779,11 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
         model=model,
     )
     if out_dir is not None:
-        _write_artifacts(Path(out_dir), result)
+        _write_artifacts(out_dir, result)
     return result
 
 
 def _write_artifacts(out_dir: Path, result: TrainResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(result.config.to_text())
     lines = [",".join(LOSS_CSV_COLUMNS)]
     for i, (loss, scale, skip) in enumerate(

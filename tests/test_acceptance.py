@@ -23,7 +23,7 @@ import pytest
 
 from fpemu._dyadic import add_round
 from fpemu.cli import main as cli_main
-from fpemu.formats import FpFormat, decode16_array
+from fpemu.formats import BINARY32, FpFormat, decode16_array
 from fpemu.instructions import (
     AccumMode,
     _fmacs_block,
@@ -462,13 +462,42 @@ def test_c05_instruction_oracle_agreement():
                 mismatches += 1
         exact_checked.append(idx.size)
 
+    # binary32 operands, as in format=none runs, whose default mode is
+    # FMACS.  16-bit products span too few bits to make an inexact
+    # binary64 sum land on a binary32 tie; these triples do it on purpose:
+    # x*y = +-2^(E-24) (1 - 2^-2m) is just off half an ulp of
+    # a32 = (1+f) 2^E, so the binary64 add is inexact and may round onto
+    # the tie, which only _fmacs_block's round-to-odd fix-up gets right.
+    rng = np.random.default_rng(5059)
+    n32 = 20_000
+    e = rng.integers(-80, 81, n32)
+    m = rng.integers(15, 24, n32)
+    i = (e - 24) // 2 + rng.integers(-20, 21, n32)
+    f = rng.integers(0, 1 << 23, n32) / 2.0**23
+    a32 = (rng.choice([-1.0, 1.0], n32) * (1.0 + f) * 2.0**e).astype(np.float32)
+    xs = 2.0**i * (1.0 + 2.0**-m)
+    ys = rng.choice([-1.0, 1.0], n32) * 2.0 ** (e - 24 - i) * (1.0 - 2.0**-m)
+    rows = np.stack([a32, np.empty(n32, dtype=np.float32)])
+    _fmacs_block(rows, (xs * ys)[None])
+    want32 = np.array([fmacs(float(aw), x, y, BINARY32)
+                       for aw, x, y in zip(a32, xs.tolist(), ys.tolist())], dtype=np.float32)
+    mismatches += int((~_bits_match(rows[1], want32)).sum())
+    for j in range(0, n32, 20):
+        got = fmacs_oracle(float(a32[j]), float(xs[j]), float(ys[j]), BINARY32)
+        if not bool(_bits_match(want32[j], got)):
+            mismatches += 1
+    # lanes where a plain binary64 add cast to float32 is wrong
+    fixed = int((~_bits_match((a32 + xs * ys).astype(np.float32), want32)).sum())
+
     dt = time.monotonic() - t0
-    _report(mismatches == 0 and min(exact_checked) >= 10_000,
+    _report(mismatches == 0 and min(exact_checked) >= 10_000 and fixed >= 1_000,
             f"5. instruction oracle agreement: {n} triples per format x "
             f"{len(FORMATS)} formats for fmac and fmacs, array step kernels "
             f"vs big-integer instructions, plus macs==fmacs on "
             f"{min(exact_checked)}..{max(exact_checked)} exact-product "
-            f"triples, {mismatches} mismatches in {dt:.1f}s (tolerance: zero)")
+            f"triples, plus {n32} binary32 fmacs triples near binary32 ties "
+            f"({fixed} need the round-to-odd fix-up), {mismatches} mismatches "
+            f"in {dt:.1f}s (tolerance: zero)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpemu import training
 from fpemu.cli import _CliError, main, parse_value
 from fpemu.telemetry import RunSummary
 
@@ -27,6 +33,19 @@ DATA = pathlib.Path(__file__).parent / "data"
 ])
 def test_parse_value(text, value):
     assert parse_value(text) == value
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e400", math.inf), ("-1e400", -math.inf), ("1e-400", 0.0), ("-1e-400", -0.0),
+    ("2^99999", math.inf), ("-2^99999", -math.inf), ("2^-99999", 0.0), ("-2^-99999", -0.0),
+    ("0x1p99999", math.inf), ("-0x1p99999", -math.inf), ("0x1p-99999", 0.0),
+    ("-0x1p-99999", -0.0),
+])
+def test_parse_value_saturates_beyond_binary64(text, value):
+    # decimal, power-of-two and hex literals overflow to a signed
+    # infinity and underflow to a signed zero alike
+    got = parse_value(text)
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
 
 
 def test_parse_value_nan():
@@ -82,13 +101,17 @@ def test_dot_malformed_file(tmp_path):
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
     bad.write_text("1.0 2.0\n0.5\n")  # length mismatch
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
+    bad.write_bytes(b"1.0\n\xff\n")  # not UTF-8
+    assert main(["dot", "1/5/10/d", str(bad)]) == 1
+    assert main(["dot", "1/5/10/d", str(DATA / "dot_small.txt"), "--chunk", "0"]) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence leg overflows
 def test_train_exit_codes(tmp_path, capsys):
     # relaxed threshold converges immediately
     rc = main(["train", "--task", "regression", "--out", str(tmp_path / "ok"),
-               "--set", "steps=20", "--set", "converged_loss=1e9"])
+               "--set", "steps=20", "--set", "converged_loss=1e9",
+               "--set", "degraded_loss=1e9"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "outcome" in out and "converged" in out
@@ -114,16 +137,40 @@ def test_train_exit_codes(tmp_path, capsys):
 def test_train_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("task = regression\nformat = 1/5/10/d\nsteps = 10\n"
-                   "converged_loss = 1e9\n")
+                   "converged_loss = 1e9\ndegraded_loss = 1e9\n")
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert "1/5/10/d" in capsys.readouterr().out
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
+    cfg.write_text("task = regression\njust words\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    cfg.write_bytes(b"task = regression\n\xff\n")  # not UTF-8
+    assert main(["train", "--config", str(cfg)]) == 1
 
 
 def test_train_rejects_bad_set():
     assert main(["train", "--task", "regression", "--set", "notakey=1"]) == 1
     assert main(["train", "--task", "regression", "--set", "nodelimiter"]) == 1
+
+
+@pytest.mark.parametrize("sets", [
+    ["lr=nan"],
+    ["lr=inf"],
+    ["momentum=nan"],
+    ["divergence_patience=0"],
+    ["chunk=0"],
+    ["converged_loss=1", "degraded_loss=0.1"],
+], ids=" ".join)
+def test_train_rejects_bad_settings_before_training(monkeypatch, capsys, sets):
+    def unreachable(*args):
+        raise AssertionError("training started")
+    monkeypatch.setattr(training, "build_task_data", unreachable)
+    argv = ["train", "--task", "regression"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fpemu: error: ") and err.count("\n") == 1
 
 
 def test_train_batch_larger_than_dataset(capsys):
@@ -173,7 +220,10 @@ def test_report_skips_summaries_of_the_wrong_shape(tmp_path, capsys, payload):
     assert "Traceback" not in captured.err
 
 
-def test_train_out_that_cannot_be_created(tmp_path, capsys):
+def test_train_out_that_cannot_be_created(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("training started before the output directory existed")
+    monkeypatch.setattr(training, "build_task_data", unreachable)
     blocker = tmp_path / "file"
     blocker.write_text("")
     rc = main(["train", "--task", "regression", "--set", "steps=2",
@@ -201,3 +251,85 @@ def test_usage_errors_and_help(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     assert "fpemu" in capsys.readouterr().out
+
+
+# ── fuzzing ────────────────────────────────────────────────────────────
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_FORMATS = st.one_of(
+    st.sampled_from(["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/2/1/d", "1/8/23/d"]),
+    st.sampled_from(["none", "1/9/6/d", "1/5/10"]), _TEXT)
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "0.5", "8", "1e400", "-2^-24", "2^99999",
+                     "0x1p-99999", "0x1.8p-5", "nan", "inf", "-inf", "65504", "1e-45"]),
+    st.floats().map(repr), st.integers(-(2**70), 2**70).map(str), _TEXT)
+_TYPED = {  # values of the right type for each config key, bad ones included
+    "task": st.sampled_from(["regression", "mlp_classify", "cnn_classify", "nope"]),
+    "format": _FORMATS,
+    "mode": st.sampled_from(["mac", "macs", "fmac", "fmacs", "fmac8", "FMAC", "x"]),
+    "dls": st.sampled_from(["on", "off", "yes", "maybe"]),
+    "dtype": st.sampled_from(["float32", "float64", "float16"]),
+    **{key: st.integers(-2, 40).map(str) for key in sorted(training._INT_KEYS)},
+    **{key: st.one_of(st.sampled_from(["0", "0.5", "1", "2", "0.1", "1e9", "1e-30", "nan",
+                                       "inf", "-1", "65536", "2^-10"]),
+                      st.floats().map(repr))
+       for key in sorted(training._FLOAT_KEYS)},
+}
+_SETTING = st.sampled_from(sorted(_TYPED)).flatmap(
+    lambda key: _TYPED[key].map(lambda value: f"{key}={value}"))
+_JUNK = st.one_of(st.tuples(st.sampled_from(sorted(_TYPED) + ["bogus"]), _VALUES)
+                  .map("=".join), _TEXT)
+_SETTINGS = st.tuples(st.lists(_SETTING, max_size=4), st.lists(_JUNK, max_size=1)).map(
+    lambda parts: parts[0] + parts[1])
+
+
+@st.composite
+def _argv(draw, workdir: pathlib.Path) -> list[str]:
+    """One command line, with the files it names written under workdir."""
+    command = draw(st.sampled_from(
+        ["format-info", "round", "dot", "train", "train", "train", "report", "self-test",
+         "other"]))
+    if command == "format-info":
+        return [command, *draw(st.lists(_FORMATS, max_size=3))]
+    if command == "round":
+        return [command, draw(_FORMATS), *draw(st.lists(_VALUES, max_size=4))]
+    if command == "dot":
+        n = draw(st.integers(0, 20))
+        rows = st.lists(_VALUES, min_size=n, max_size=n).map(" ".join)
+        text = draw(st.one_of(st.tuples(rows, rows).map("\n".join),
+                              st.lists(rows, max_size=3).map("\n".join), _TEXT))
+        (workdir / "vectors.txt").write_text(text)
+        chunk = draw(st.one_of(st.integers(-1, 10).map(str), _VALUES))
+        return [command, draw(_FORMATS), str(workdir / "vectors.txt"), "--chunk", chunk]
+    if command == "train":
+        argv = [command]
+        if draw(st.integers(0, 3)):
+            argv += ["--task", draw(_TYPED["task"])]
+        if draw(st.booleans()):
+            (workdir / "run.cfg").write_text("\n".join(draw(_SETTINGS)))
+            argv += ["--config", str(workdir / "run.cfg")]
+        if draw(st.booleans()):
+            argv += ["--out", str(workdir / draw(st.sampled_from(["runs", "run.cfg/x"])))]
+        for item in draw(_SETTINGS):
+            argv += ["--set", item]
+        return argv + ["--set", "steps=2"]  # keeps every example short
+    if command == "report":
+        (workdir / "r").mkdir()
+        (workdir / "r" / "summary.json").write_text(draw(_TEXT))
+        return [command, str(workdir / draw(st.sampled_from(["r", "missing"])))]
+    if command == "self-test":
+        return [command]
+    return draw(st.lists(_TEXT, max_size=4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:fpemu.training")  # diverging runs overflow
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(data):
+    """Any command line ends with an exit code, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(_argv(pathlib.Path(tmp)), label="argv")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)

@@ -13,12 +13,16 @@ from fpemu.formats import (
     encode16,
     encode16_array,
 )
+from fpemu.rounding import _on_grid
 
 
 HALF = FpFormat.parse("1/5/10/d")
 HALF_N = FpFormat.parse("1/5/10/n")
 WIDE = FpFormat.parse("1/6/9/d")
 BF8 = FpFormat.parse("1/8/7/n")
+# every 16-bit format: 1/e/(15-e) for e = 2..8, with and without denormals
+FORMATS16 = [FpFormat(e, 15 - e, d) for e in range(2, 9) for d in (True, False)]
+D16 = [f for f in FORMATS16 if f.denormals]
 
 
 def test_frozen_constants_half():
@@ -172,16 +176,106 @@ def test_half_wire_format_matches_ieee_binary16():
     assert np.array_equal(np.signbit(ours[ok]), np.signbit(ref[ok]))
 
 
+def _inf_word(fmt):
+    return ((1 << fmt.exp_bits) - 1) << fmt.mant_bits
+
+
+def _nan_word(fmt):
+    """The canonical NaN: the infinity word with the mantissa MSB set."""
+    return _inf_word(fmt) | 1 << (fmt.mant_bits - 1)
+
+
 def test_encode_decode_round_trip_all_words():
-    for fmt in (HALF, WIDE):
-        words = np.arange(1 << 16, dtype=np.uint16)
+    words = np.arange(1 << 16, dtype=np.uint16)
+    mag = words & 0x7FFF
+    for fmt in FORMATS16:
         vals = decode16_array(words, fmt)
         back = encode16_array(vals, fmt)
-        # NaNs collapse to the canonical quiet pattern; everything else
-        # round-trips bit for bit
-        nan_words = np.isnan(vals)
-        assert np.array_equal(back[~nan_words], words[~nan_words])
-        assert np.all(back[nan_words] == encode16(float("nan"), fmt))
+        # NaNs collapse to the canonical quiet pattern, the denormal words
+        # of a flush format to a signed zero; everything else round-trips
+        # bit for bit
+        flushed = (mag < 1 << fmt.mant_bits) & (not fmt.denormals)
+        want = np.where(flushed, words & 0x8000, words)
+        nan_words = mag > _inf_word(fmt)
+        assert np.array_equal(np.isnan(vals), nan_words)
+        assert np.array_equal(back[~nan_words], want[~nan_words])
+        assert np.all(back[nan_words] == _nan_word(fmt))
+        # the scalar forms agree with the arrays
+        bits = vals.view(np.uint32)
+        for w in range(0, 1 << 16, 61):
+            v = decode16(w, fmt)
+            assert np.float32(v).view(np.uint32) == bits[w]
+            assert encode16(v, fmt) == back[w]
+
+
+@pytest.mark.parametrize("fmt", D16, ids=str)
+def test_decode_enumerates_the_grid_in_order(fmt):
+    # A d format has exactly inf_word nonnegative finite values, so
+    # inf_word strictly increasing members of its grid, from +0 up to
+    # max_finite, are all of them, each once and in order.
+    vals = decode16_array(np.arange(_inf_word(fmt), dtype=np.uint16), fmt)
+    vals = vals.astype(np.float64)
+    assert vals[0] == 0.0 and not np.signbit(vals[0])
+    assert np.all(np.diff(vals) > 0)
+    assert _on_grid(vals, fmt).all()
+    assert vals[1] == fmt.min_denormal and vals[-1] == fmt.max_finite
+
+
+@pytest.mark.parametrize("fmt", FORMATS16, ids=str)
+def test_decode_sign_bit_and_specials(fmt):
+    inf_word = _inf_word(fmt)
+    pos = decode16_array(np.arange(inf_word, dtype=np.uint16), fmt)
+    neg = decode16_array(np.arange(inf_word, dtype=np.uint16) | 0x8000, fmt)
+    assert np.array_equal(neg.view(np.uint32), pos.view(np.uint32) ^ 0x80000000)  # -0 too
+    assert decode16_array([inf_word, inf_word | 0x8000], fmt).tolist() == [np.inf, -np.inf]
+    above = np.arange(inf_word + 1, 0x8000)
+    for words in (above, above | 0x8000):
+        nans = decode16_array(words, fmt)
+        assert np.all(nans.view(np.uint32) == np.float32(np.nan).view(np.uint32))
+
+
+@pytest.mark.parametrize("fmt", D16, ids=str)
+def test_flush_format_decodes_like_its_twin_but_denormals(fmt):
+    flush = FpFormat(fmt.exp_bits, fmt.mant_bits, False)
+    words = np.arange(1 << 16, dtype=np.uint16)
+    d = decode16_array(words, fmt)
+    n = decode16_array(words, flush)
+    mag = words & 0x7FFF
+    denormal = (mag > 0) & (mag < 1 << fmt.mant_bits)
+    assert np.array_equal(n[~denormal].view(np.uint32), d[~denormal].view(np.uint32))
+    assert np.all(n[denormal] == 0.0)
+    assert np.array_equal(np.signbit(n[denormal]), words[denormal] >= 0x8000)
+
+
+@pytest.mark.parametrize("fmt", FORMATS16, ids=str)
+def test_encode_rejects_unrepresentable_values(fmt):
+    p = fmt.mant_bits
+    off_grid = [1.0 + 2.0 ** (-p - 1), 3.0 * 2.0 ** (fmt.e_min - p - 1)]
+    too_big = [2.0 ** (fmt.e_max + 1), fmt.overflow_threshold, 1e300]
+    too_small = [fmt.smallest_positive / 2, 2.0**-1074]
+    twin_denormals = [fmt.min_normal / 2, fmt.min_normal - 2.0 ** (fmt.e_min - p)]
+    rejected = off_grid + too_big + too_small
+    if fmt.denormals:
+        assert encode16_array(twin_denormals, fmt).tolist() == [1 << (p - 1), (1 << p) - 1]
+    else:
+        rejected += twin_denormals
+    for v in rejected:
+        for x in (v, -v):
+            with pytest.raises(ValueError):
+                encode16(x, fmt)
+            with pytest.raises(ValueError):
+                encode16_array([1.0, x, 0.0], fmt)
+    good = [0.0, -0.0, 1.0, fmt.max_finite, -fmt.smallest_positive, np.inf, -np.inf, np.nan]
+    assert encode16_array(good, fmt).tolist() == [
+        0, 0x8000, (fmt.bias << p), _inf_word(fmt) - 1,
+        0x8000 | (1 if fmt.denormals else 1 << p),
+        _inf_word(fmt), 0x8000 | _inf_word(fmt), _nan_word(fmt)]
+
+
+@pytest.mark.parametrize("word", [-1, 1 << 16, 1 << 20])
+def test_decode16_rejects_words_outside_16_bits(word):
+    with pytest.raises(ValueError):
+        decode16(word, HALF)
 
 
 def test_flush_format_decodes_denormal_words_as_zero():

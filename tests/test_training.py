@@ -262,7 +262,8 @@ def test_divergence_is_detected_and_stops_the_run():
 
 def test_outcome_thresholds():
     entries = {"task": "regression", "format": "none", "steps": "30"}
-    relaxed = train(resolve_config({**entries, "converged_loss": "1e9"}))
+    relaxed = train(resolve_config({**entries, "converged_loss": "1e9",
+                                    "degraded_loss": "1e9"}))
     assert relaxed.outcome == "converged"
     tight = train(resolve_config({**entries, "converged_loss": "1e-30",
                                   "degraded_loss": "1e9"}))
