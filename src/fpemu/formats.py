@@ -24,6 +24,7 @@ __all__ = [
     "BINARY32",
     "classify",
     "classify_array",
+    "class_counts",
     "encode16",
     "decode16",
     "encode16_array",
@@ -216,17 +217,35 @@ def classify_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     infinity).  float32 input is read as ``uint32``, anything else as
     binary64.
     """
+    mag, min_normal, inf = _magnitudes(values, fmt)
+    codes = (mag != 0).view(np.uint8)
+    codes += mag >= min_normal
+    codes += mag >= inf
+    codes += mag > inf
+    return codes.reshape(np.shape(values))
+
+
+def class_counts(values: np.ndarray, fmt: FpFormat) -> tuple[int, int, int, int, int]:
+    """How many values fall in each :class:`FpClass`, in its order: the
+    counts of :func:`classify_array`'s codes, from the same four
+    comparisons counted one at a time, without building the codes."""
+    mag, min_normal, inf = _magnitudes(values, fmt)
+    nonzero, normal_up, inf_up, nan = (
+        int(np.count_nonzero(c)) for c in (mag != 0, mag >= min_normal, mag >= inf, mag > inf)
+    )
+    return (mag.size - nonzero, nonzero - normal_up, normal_up - inf_up, inf_up - nan, nan)
+
+
+def _magnitudes(values: np.ndarray, fmt: FpFormat):
+    """The flat sign-cleared bit patterns of ``values`` and those of
+    ``fmt``'s minimum normal and of infinity, as one unsigned type."""
     a = np.asarray(values)
     if a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
     uint = np.dtype(f"u{a.itemsize}").type
     mag = a.reshape(-1).view(uint) & uint(np.iinfo(uint).max >> 1)
     min_normal, inf = np.array([fmt.min_normal, np.inf], dtype=a.dtype).view(uint)
-    codes = (mag != 0).view(np.uint8)
-    codes += mag >= min_normal
-    codes += mag >= inf
-    codes += mag > inf
-    return codes.reshape(a.shape)
+    return mag, min_normal, inf
 
 
 # ── 16-bit wire format ─────────────────────────────────────────────────

@@ -19,34 +19,51 @@ modes, driven by a per-mode table of three flags: round the products into
 the format first (MAC, MACS), accumulate in binary32 (MACS, FMACS), and
 drain a format-width accumulator into a binary32 master every ``chunk``
 steps (FMAC8).  It consumes the exact products, binary64 values of at
-most 48 significand bits, a block of steps at a time.  In the
-format-width modes a TwoSum error term turns each binary64 addition into
-round-to-odd, which the rounding kernel may then round to any format of
-24 or fewer significand bits without double rounding.
+most 48 significand bits, a block of steps at a time, and never calls the
+rounding kernel per step.
 
-The binary32-accumulator modes skip the rounding kernel in the reduction.
-FMACS adds in binary64 and casts to float32.  That double rounding can
-differ from one binary32 rounding only where the binary64 add was inexact
-and its sum sits on a binary32 tie, or below binary32's minimum normal,
-where its grid is coarser.  A block of steps is checked for such lanes
-afterwards; the first step that has one is redone as a round-to-odd add,
-which the cast then rounds correctly (53 >= 24 + 2; Boldo and Melquiond,
-IEEE TC 2008), and the steps after it run again.  MACS rounds a block of
-products into the format at once and sums them with a sequential float32
-``np.add.accumulate``, the running sum (starting at +0) carried in as the
-first row.  Both paths are tested against the rational oracle.
+Where a step is not a single float32 add, one checked-block driver runs
+it: a cheap step over every lane of the block, then one check of the
+whole block for the lanes where the cheap step can be wrong, then an
+exact redo of those lanes in the first step that has any, and the steps
+after it again.  The exact redo is a TwoSum round-to-odd add followed by
+one round-to-nearest, which for 24 or fewer significand bits is one
+correct rounding (53 >= 24 + 2; Boldo and Melquiond, IEEE TC 2008).
+
+MACS and FMACS blocks whose products are all binary32 numbers are one
+sequential float32 ``np.add.accumulate`` with the running sum (starting
+at +0) as the first row: a float32 add of a binary32 product is already
+the one rounding.  MACS products always are; so are FMACS products of
+1/5/10 and 1/6/9 values and most of 1/8/7.  Other FMACS blocks (binary32
+operands, or 1/8/7 products below 2^-149) step with a binary64 add cast
+to float32, which can double round only where the add was inexact and
+its sum sits on a binary32 tie or below 2^-126.
+
+MAC, FMAC and FMAC8 step with a binary64 add and a magic-constant
+rounding into the format: ``(s + M) - M`` with ``M = 1.5 * 2^(E-p+52)``
+for the sum's exponent E (at least the minimum normal's), then the
+sum's sign for zeros and, in /n formats, a flush to signed zero.  RNE is
+monotone and the format's midpoints are binary64 numbers, so this
+differs from rounding the exact sum only where the add was inexact and
+its sum is a midpoint of the gradual-underflow grid; it also leaves a
+sum above ``max_finite`` finite.  The check looks for both.  FMAC8's
+accumulator restarts every ``chunk`` steps, so the chunks of a block run
+side by side as lanes of one ``chunk``-step reduction, and are drained
+into the master only after the block has passed its check.  All paths
+are tested against the rational oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import _ABS, _on_grid, roundfp_array
+from .rounding import _ABS, _bits, _on_grid, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -208,10 +225,12 @@ def _coerce_matrix(m, fmt: FpFormat, name: str) -> np.ndarray:
 
 # Products are formed a K-block at a time as a (kb, m, n) tensor of at
 # most _BLOCK_ELEMS elements and _BLOCK_STEPS steps.  The step cap bounds
-# what one FMACS fix-up re-runs.
+# what one redo in _checked_steps re-runs.
 _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
 
+_EXP = np.uint64(0x7FF0000000000000)
+_HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
 _B32_DROPPED = np.uint64((1 << 29) - 1)  # binary64 significand bits below binary32's
 _B32_TIE = np.uint64(1 << 28)
 _B32_TINY = np.uint64(0x3810000000000000 - 1)  # bits of 2^-126, less one
@@ -228,6 +247,29 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
 
 
+def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, suspects, redo) -> None:
+    """rows[i + 1] = round(rows[i] + prods[i]) over one block of steps.
+
+    ``step(acc, prod, out)`` is a cheap step that is right in every lane
+    but those ``suspects(rows, prods)`` flags afterwards, over the whole
+    block at once.  The suspect lanes of the first step that has any are
+    redone exactly with ``redo(acc, prod)``, and the steps after it are
+    run again.
+    """
+    start = 0
+    while start < len(prods):
+        for i in range(start, len(prods)):
+            step(rows[i], prods[i], rows[i + 1])
+        bad = suspects(rows[start:], prods[start:])
+        if not bad.any():
+            return
+        i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        lanes = bad[i]
+        i += start
+        rows[i + 1][lanes] = redo(rows[i][lanes], prods[i][lanes])
+        start = i + 1
+
+
 def _may_double_round32(s: np.ndarray) -> np.ndarray:
     """Lanes where, if s is an inexact binary64 sum, casting it to float32
     may differ from rounding the exact sum once: binary32 ties, and nonzero
@@ -239,27 +281,96 @@ def _may_double_round32(s: np.ndarray) -> np.ndarray:
     return tie | (mag < _B32_TINY)
 
 
-def _fmacs_block(rows: np.ndarray, prods: np.ndarray) -> None:
+def _fmacs_rows(rows: np.ndarray, prods: np.ndarray) -> None:
     """FMACS steps over one block: rows[i + 1] = round32(rows[i] + prods[i]).
 
-    ``rows`` is float32 with the running sum in row 0; ``prods`` holds the
-    exact binary64 products.  Each step is a binary64 add cast to float32.
-    The whole block is then checked at once: a step can have rounded
-    twice only where the binary64 add was inexact and its sum may double
-    round (:func:`_may_double_round32`).  The first such step is redone
-    with a round-to-odd add, and the steps after it are run again.
+    ``rows`` is float32 with the running sum in row 0; ``prods`` holds
+    exact products.  If every product is a binary32 number (MACS's
+    rounded float32 products always are), a float32 add of it is already
+    the one rounding, and the block is one sequential
+    ``np.add.accumulate``.  Otherwise each step is a binary64 add cast to
+    float32, which can round twice only where the add was inexact and
+    its sum may double round (:func:`_may_double_round32`); such lanes
+    are redone with a round-to-odd add.
     """
-    start = 0
-    while start < len(prods):
-        for i in range(start, len(prods)):
-            np.add(rows[i], prods[i], out=rows[i + 1], casting="unsafe")
-        s, err = _two_sum(rows[start:-1].astype(np.float64), prods[start:])
-        bad = (err != 0) & _may_double_round32(s)
-        if not bad.any():
-            return
-        i = start + int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-        rows[i + 1] = _add_round_to_odd(rows[i].astype(np.float64), prods[i])
-        start = i + 1
+    p32 = prods.astype(np.float32, copy=False)
+    if p32 is prods or (p32 == prods).all():
+        rows[1:] = p32
+        np.add.accumulate(rows, axis=0, out=rows)
+        return
+
+    def step(acc, prod, out):
+        np.add(acc, prod, out=out, casting="unsafe")
+
+    def suspects(rows, prods):
+        s, err = _two_sum(rows[:-1].astype(np.float64), prods)
+        return (err != 0) & _may_double_round32(s)
+
+    def redo(acc, prod):
+        return _add_round_to_odd(acc.astype(np.float64), prod)
+
+    _checked_steps(rows, prods, step, suspects, redo)
+
+
+def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
+    """Format-width fused steps over one block: rows[i + 1] =
+    round(rows[i] + prods[i], fmt), float64 with the accumulator in row 0.
+
+    Each step rounds the binary64 sum s as (s + M) - M, where the magic
+    constant M = 1.5 * 2^(E - p + 52) puts the format's quantum at s's
+    exponent E (at least e_min) into M's last place.  Its bits are s's
+    exponent bits plus a constant, floored at M of the minimum normal;
+    for inf and NaN they wrap into a tiny finite M that leaves the lane
+    as it is.  The step then gives zeros the sign of s and, for /n
+    formats, flushes a denormal to signed zero.
+
+    RNE is monotone and ``fmt``'s midpoints are binary64 numbers, so this
+    can differ from rounding the exact sum only where the add was inexact
+    and s is a midpoint of ``fmt``'s gradual-underflow grid; and it
+    leaves a value above ``max_finite`` finite.  Such lanes are redone
+    with :func:`_fused_step_array`.
+    """
+    p = fmt.mant_bits
+    add = np.uint64(((52 - p) << 52) | (1 << 51))
+    floor = _bits(1.5 * math.ldexp(1.0, fmt.e_min - p + 52))
+    max_finite = fmt.max_finite
+    flush_below = None if fmt.denormals else fmt.min_normal
+
+    def magic(s):
+        m = s.view(np.uint64) & _EXP
+        m += add
+        return np.maximum(m, floor, out=m)
+
+    def step(acc, prod, out):
+        np.add(acc, prod, out=out)
+        m = magic(out).view(np.float64)
+        r = out + m
+        r -= m
+        np.copysign(r, out, out=out)
+        if flush_below is not None:
+            out *= np.abs(out) >= flush_below
+
+    def suspects(rows, prods):
+        acc = rows[:-1]
+        s = acc + prods
+        m = magic(s)
+        mf = m.view(np.float64)
+        d = s + mf
+        d -= mf
+        d -= s
+        m &= _EXP
+        m -= _HALF_QUANTUM  # now half the quantum
+        bad = np.abs(d, out=d) == mf  # on a midpoint
+        if bad.any():
+            bad[bad] = _two_sum(acc[bad], prods[bad])[1] != 0
+        mag = np.abs(rows[1:])
+        bad |= (mag > max_finite) & (mag < np.inf)
+        return bad
+
+    def redo(acc, prod):
+        return _fused_step_array(acc, prod, fmt)
+
+    _checked_steps(rows, prods, step, suspects, redo)
 
 
 class _Schedule(NamedTuple):
@@ -279,6 +390,37 @@ _SCHEDULES = {
 }
 
 
+def _fmac8_block(acc: np.ndarray, master: np.ndarray, prods: np.ndarray,
+                 lead: int, chunk: int, fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
+    """FMAC8 over one block whose first step is step ``lead`` of a chunk.
+
+    The format-width accumulator restarts from +0 every ``chunk`` steps,
+    so the block's chunks run side by side as the lanes of one
+    ``chunk``-step reduction.  The block is padded with -0 products, which
+    leave any accumulator as it is, so that its first chunk continues
+    ``acc`` and its last chunk is whole.  The chunks before the last are
+    then drained into ``master`` in order, each a float32 add, after the
+    reduction has passed its check.  Returns the last chunk's accumulator,
+    which carries over to the next block, and the new master.
+    """
+    width = -(-(lead + len(prods)) // chunk) * chunk
+    if width == 0:
+        return acc, master
+    segs = width // chunk
+    padded = np.full((width, *acc.shape), -0.0)
+    padded[lead:lead + len(prods)] = prods
+    rows = np.zeros((chunk + 1, segs, *acc.shape))
+    if lead:
+        rows[0, 0] = acc
+    _fmac_rows(rows, padded.reshape(segs, chunk, *acc.shape).swapaxes(0, 1), fmt)
+    drained = rows[-1, :-1]
+    if not lead:  # the chunk in progress ended with the last block
+        drained = np.concatenate([acc[None], drained])
+    sums = np.concatenate([master[None], drained.astype(np.float32)])
+    np.add.accumulate(sums, axis=0, out=sums)
+    return rows[-1, -1], sums[-1]
+
+
 def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chunk: int) -> np.ndarray:
     """Reduce each lane of a stream of exact product blocks under ``mode``.
 
@@ -291,35 +433,26 @@ def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chun
     # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes,
     # and binary32 accumulators legitimately overflow to infinity.
     with np.errstate(invalid="ignore", over="ignore"):
-        if s.wide:
-            # Row 0 of each block carries the binary32 running sum.
-            acc = np.zeros((1, *shape), dtype=np.float32)
-            for prods in blocks:
-                if s.round_products:
-                    # One float32 add per rounded product, in ascending order.
-                    rows = np.concatenate([acc, roundfp_array(prods, fmt)])
-                    np.add.accumulate(rows, axis=0, out=rows)
-                else:
-                    rows = np.concatenate([acc, np.empty(prods.shape, np.float32)])
-                    _fmacs_block(rows, prods)
-                acc = rows[-1:]
-            out = acc[0].copy()
-        else:
-            acc = np.zeros(shape)
-            master = np.zeros(shape, dtype=np.float32)
-            i = 0
-            for prods in blocks:
-                if s.round_products:
-                    prods = roundfp_array(prods, fmt).astype(np.float64)
-                for prod in prods:
-                    if s.drains and i % chunk == 0:
-                        master += acc.astype(np.float32)
-                        acc = np.zeros(shape)
-                    acc = _fused_step_array(acc, prod, fmt)
-                    i += 1
-            out = acc.astype(np.float32)
+        acc = np.zeros(shape, dtype=np.float32 if s.wide else np.float64)
+        master = np.zeros(shape, dtype=np.float32)
+        done = 0
+        for prods in blocks:
+            if s.round_products:
+                prods = roundfp_array(prods, fmt)
             if s.drains:
-                out += master  # the final drain
+                acc, master = _fmac8_block(acc, master, prods, done % chunk, chunk, fmt)
+                done += len(prods)
+                continue
+            rows = np.empty((len(prods) + 1, *shape), dtype=acc.dtype)
+            rows[0] = acc
+            if s.wide:
+                _fmacs_rows(rows, prods)
+            else:
+                _fmac_rows(rows, prods.astype(np.float64, copy=False), fmt)
+            acc = rows[-1]
+        out = acc.astype(np.float32)
+        if s.drains:
+            out += master  # the final drain
     out[np.isnan(out)] = np.nan
     return out
 

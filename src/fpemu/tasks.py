@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TaskData", "TASK_NAMES", "build_task_data", "task_defaults"]
+__all__ = ["TaskData", "TASK_NAMES", "TASK_SIZES", "build_task_data", "task_defaults"]
 
 TASK_NAMES = ("regression", "mlp_classify", "cnn_classify")
+# Examples in each task's data set, known before the data is built so a
+# config can be checked against it.
+TASK_SIZES = {"regression": 256, "mlp_classify": 384, "cnn_classify": 256}
 
 
 @dataclass

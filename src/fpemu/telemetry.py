@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import FpFormat, classify_array
+from .formats import FpFormat, class_counts
 
 __all__ = ["Phase", "DenormalStats", "RunSummary", "TelemetrySink"]
 
@@ -68,17 +68,16 @@ class DenormalStats:
     def from_array(
         cls, values: np.ndarray, fmt: FpFormat, *, tensor_id: str, phase, step: int
     ) -> "DenormalStats":
-        codes = classify_array(values, fmt)
-        counts = np.bincount(codes.ravel(), minlength=5)
+        n_zero, n_denormal, n_normal, n_inf, n_nan = class_counts(values, fmt)
         return cls(
             tensor_id=tensor_id,
             phase=_phase_str(phase),
             step=step,
-            n_zero=int(counts[0]),
-            n_denormal=int(counts[1]),
-            n_normal=int(counts[2]),
-            n_inf=int(counts[3]),
-            n_nan=int(counts[4]),
+            n_zero=n_zero,
+            n_denormal=n_denormal,
+            n_normal=n_normal,
+            n_inf=n_inf,
+            n_nan=n_nan,
         )
 
     @property

@@ -36,7 +36,7 @@ import numpy as np
 from .formats import BINARY32, FpFormat
 from .instructions import AccumMode, matmul, matmul_wide
 from .rounding import roundfp_array
-from .tasks import TASK_NAMES, TaskData, build_task_data, task_defaults
+from .tasks import TASK_NAMES, TASK_SIZES, TaskData, build_task_data, task_defaults
 from .telemetry import DenormalStats, Phase, RunSummary, TelemetrySink
 
 __all__ = [
@@ -106,6 +106,8 @@ class TrainConfig:
             raise ValueError("float64 runs require format=none")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
+        if self.batch_size > TASK_SIZES[self.task]:
+            raise ValueError("batch_size exceeds dataset size")
         if self.telemetry_interval < 1:
             raise ValueError("telemetry_interval must be positive")
         if self.chunk < 1:
@@ -684,8 +686,6 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
     n = len(data.inputs)
-    if cfg.batch_size > n:
-        raise ValueError("batch_size exceeds dataset size")
     per_epoch = n // cfg.batch_size
 
     losses: list[float] = []
@@ -695,60 +695,63 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     diverged_early = False
     perm = np.arange(n)
 
-    for step in range(cfg.steps):
-        pos = step % per_epoch
-        if pos == 0:
-            perm = batch_rng.permutation(n)
-        idx = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
-        xb = data.inputs[idx]
-        yb = data.targets[idx]
+    # A diverging run overflows to inf and NaN anywhere in a step; the
+    # loss-scaling skip and the divergence check below read those values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            pos = step % per_epoch
+            if pos == 0:
+                perm = batch_rng.permutation(n)
+            idx = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
+            xb = data.inputs[idx]
+            yb = data.targets[idx]
 
-        env = StepEnv(
-            fmt=cfg.fmt,
-            mode=cfg.mode,
-            chunk=cfg.chunk,
-            dtype=dtype,
-            sink=sink,
-            step=step,
-            record=(step % cfg.telemetry_interval == 0),
-        )
-        xq = env.quantize(xb, "input", Phase.FORWARD_ACTIVATION)
-        out = model.forward(xq, env)
-        loss, dout = _loss_and_grad(data.kind, out, yb)
-        loss_f = float(loss)
-        scale_now = scaler.scale if scaler is not None else 1.0
+            env = StepEnv(
+                fmt=cfg.fmt,
+                mode=cfg.mode,
+                chunk=cfg.chunk,
+                dtype=dtype,
+                sink=sink,
+                step=step,
+                record=(step % cfg.telemetry_interval == 0),
+            )
+            xq = env.quantize(xb, "input", Phase.FORWARD_ACTIVATION)
+            out = model.forward(xq, env)
+            loss, dout = _loss_and_grad(data.kind, out, yb)
+            loss_f = float(loss)
+            scale_now = scaler.scale if scaler is not None else 1.0
 
-        if scaler is not None:
-            dout = dout * dtype(scale_now)
-        model.backward(dout, env)
+            if scaler is not None:
+                dout = dout * dtype(scale_now)
+            model.backward(dout, env)
 
-        skip = False
-        if scaler is not None:
-            grads = model.grads()
-            if all(np.isfinite(g).all() for g in grads):
-                inv = dtype(1.0 / scaler.scale)
-                for layer in model.trainable_layers():
-                    layer.dW = layer.dW * inv
-                    layer.db = layer.db * inv
-                scaler.advance()
-            else:
-                scaler.backoff()
-                skip = True
-        if not skip:
-            model.sgd_step(cfg.lr, cfg.momentum)
+            skip = False
+            if scaler is not None:
+                grads = model.grads()
+                if all(np.isfinite(g).all() for g in grads):
+                    inv = dtype(1.0 / scaler.scale)
+                    for layer in model.trainable_layers():
+                        layer.dW = layer.dW * inv
+                        layer.db = layer.db * inv
+                    scaler.advance()
+                else:
+                    scaler.backoff()
+                    skip = True
+            if not skip:
+                model.sgd_step(cfg.lr, cfg.momentum)
 
-        losses.append(loss_f)
-        scales.append(scale_now)
-        skipped.append(skip)
+            losses.append(loss_f)
+            scales.append(scale_now)
+            skipped.append(skip)
 
-        if not skip:
-            if math.isfinite(loss_f):
-                nan_streak = 0
-            else:
-                nan_streak += 1
-                if nan_streak >= cfg.divergence_patience:
-                    diverged_early = True
-                    break
+            if not skip:
+                if math.isfinite(loss_f):
+                    nan_streak = 0
+                else:
+                    nan_streak += 1
+                    if nan_streak >= cfg.divergence_patience:
+                        diverged_early = True
+                        break
 
     final_loss = _final_loss(losses)
     if diverged_early or not math.isfinite(final_loss):

@@ -26,8 +26,8 @@ from fpemu.cli import main as cli_main
 from fpemu.formats import BINARY32, FpFormat, decode16_array
 from fpemu.instructions import (
     AccumMode,
-    _fmacs_block,
-    _fused_step_array,
+    _fmac_rows,
+    _fmacs_rows,
     _reduce,
     fmac,
     fmac8_dot,
@@ -416,12 +416,15 @@ def test_c05_instruction_oracle_agreement():
         a32 = rng.integers(0, 1 << 32, n, dtype=np.uint64)
         a32 = a32.astype(np.uint32).view(np.float32)
 
-        # the array kernels, one step per triple; the accumulators are row 0
+        # the production block reductions, one step per triple; the
+        # accumulators are row 0
         with np.errstate(invalid="ignore", over="ignore"):
             prods = xs.astype(np.float64) * ys.astype(np.float64)
-            got_f = _fused_step_array(accs.astype(np.float64), prods, fmt)
+            rows_f = np.stack([accs.astype(np.float64), np.empty(n)])
+            _fmac_rows(rows_f, prods[None], fmt)
             rows = np.stack([a32, np.empty(n, dtype=np.float32)])
-            _fmacs_block(rows, prods[None])
+            _fmacs_rows(rows, prods[None])
+        got_f = rows_f[1]
         got_fs = rows[1]
 
         want_f = np.empty(n, dtype=np.float32)
@@ -467,7 +470,7 @@ def test_c05_instruction_oracle_agreement():
     # binary64 sum land on a binary32 tie; these triples do it on purpose:
     # x*y = +-2^(E-24) (1 - 2^-2m) is just off half an ulp of
     # a32 = (1+f) 2^E, so the binary64 add is inexact and may round onto
-    # the tie, which only _fmacs_block's round-to-odd fix-up gets right.
+    # the tie, which only _fmacs_rows's round-to-odd fix-up gets right.
     rng = np.random.default_rng(5059)
     n32 = 20_000
     e = rng.integers(-80, 81, n32)
@@ -478,7 +481,7 @@ def test_c05_instruction_oracle_agreement():
     xs = 2.0**i * (1.0 + 2.0**-m)
     ys = rng.choice([-1.0, 1.0], n32) * 2.0 ** (e - 24 - i) * (1.0 - 2.0**-m)
     rows = np.stack([a32, np.empty(n32, dtype=np.float32)])
-    _fmacs_block(rows, (xs * ys)[None])
+    _fmacs_rows(rows, (xs * ys)[None])
     want32 = np.array([fmacs(float(aw), x, y, BINARY32)
                        for aw, x, y in zip(a32, xs.tolist(), ys.tolist())], dtype=np.float32)
     mismatches += int((~_bits_match(rows[1], want32)).sum())
@@ -492,7 +495,7 @@ def test_c05_instruction_oracle_agreement():
     dt = time.monotonic() - t0
     _report(mismatches == 0 and min(exact_checked) >= 10_000 and fixed >= 1_000,
             f"5. instruction oracle agreement: {n} triples per format x "
-            f"{len(FORMATS)} formats for fmac and fmacs, array step kernels "
+            f"{len(FORMATS)} formats for fmac and fmacs, array block reductions "
             f"vs big-integer instructions, plus macs==fmacs on "
             f"{min(exact_checked)}..{max(exact_checked)} exact-product "
             f"triples, plus {n32} binary32 fmacs triples near binary32 ties "

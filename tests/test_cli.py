@@ -106,7 +106,6 @@ def test_dot_malformed_file(tmp_path):
     assert main(["dot", "1/5/10/d", str(DATA / "dot_small.txt"), "--chunk", "0"]) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence leg overflows
 def test_train_exit_codes(tmp_path, capsys):
     # relaxed threshold converges immediately
     rc = main(["train", "--task", "regression", "--out", str(tmp_path / "ok"),
@@ -177,6 +176,14 @@ def test_train_batch_larger_than_dataset(capsys):
     assert main(["train", "--task", "regression", "--set", "batch_size=1000"]) == 1
     err = capsys.readouterr().err
     assert err == "fpemu: error: batch_size exceeds dataset size\n"
+
+
+def test_refused_train_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["train", "--out", str(out), "--task", "regression",
+                 "--set", "batch_size=1000"]) == 1
+    assert capsys.readouterr().err == "fpemu: error: batch_size exceeds dataset size\n"
+    assert not out.exists()
 
 
 def test_report(tmp_path, capsys):
@@ -322,7 +329,6 @@ def _argv(draw, workdir: pathlib.Path) -> list[str]:
     return draw(st.lists(_TEXT, max_size=4))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning:fpemu.training")  # diverging runs overflow
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_cli_fuzz_exits_cleanly(data):

@@ -372,6 +372,117 @@ def test_fmacs_binary32_denormal_tie_is_not_double_rounded():
     assert float(got[0, 0]) == _oracle_chain(a[0], b[:, 0], BINARY32, AccumMode.FMACS, 8)[0]
 
 
+def test_fmacs_blocks_mix_exact_and_inexact_products():
+    # A 1x600 by 600x2 product runs in three blocks of at most 256 steps.
+    # Blocks 0 and 2 hold binary32-exact products only and are summed in
+    # float32.  Block 1 also holds the inexact tie product of
+    # test_fmacs_binary32_tie_is_not_double_rounded in column 0, so it
+    # takes the checked binary64 steps for both columns.
+    k = 600
+    a = np.zeros((1, k))
+    b = np.zeros((k, 2))
+    a[0, :2] = 2.0**30, 2.0**7
+    b[:2] = 1.0
+    a[0, 300] = 2.0**3 * (1 + 2.0**-15)
+    b[300] = -(2.0**3) * (1 - 2.0**-15), 1.0
+    a[0, 550], b[550] = 1.0, 256.0
+    got = matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)
+    assert got[0].tolist() == [1073742208.0, 1073742208.0]
+    _check_lanes(a, b, BINARY32, AccumMode.FMACS, 8, [(0, 0), (0, 1)])
+
+
+def test_fmacs_bfloat16_products_below_binary32_are_rounded_once():
+    # 1/8/7/n products reach far below 2^-149, where they are not binary32
+    # numbers.  Steps of 2^-126 and 2^-149 make the odd binary32 value
+    # 2^-126 + 2^-149; adding the product 2^-150 is a tie that rounds up
+    # to even.  Rounding the product into binary32 first would make it 0.
+    a = np.array([[2.0**-63, 2.0**-75, 2.0**-75, 2.0**-100]])
+    b = np.array([[2.0**-63], [2.0**-74], [2.0**-75], [2.0**-60]])
+    assert float(np.float32(a[0, 2] * b[2, 0])) == 0.0
+    got = matmul_wide(a, b, BF8, mode=AccumMode.FMACS)
+    assert float(got[0, 0]) == 2.0**-126 + 2.0**-148
+    _check_lanes(a, b, BF8, AccumMode.FMACS, 8, [(0, 0)])
+
+
+FORMAT_WIDTH_MODES = (AccumMode.MAC, AccumMode.FMAC, AccumMode.FMAC8)
+
+
+@pytest.mark.parametrize("mode", FORMAT_WIDTH_MODES, ids=lambda m: m.value)
+def test_format_width_midpoint_sum_is_rounded_once(mode):
+    # In 1/8/7/n, 7 * 37 = 259 and 9 * 29 = 261 are midpoints between
+    # 8-bit significands: 259 ties to even upward, 261 downward.  Step 0
+    # sets the accumulator to +-2^(e-60); step 1 adds such a tie product
+    # times 2^(e-8).  The binary64 add drops the accumulator and lands on
+    # the midpoint, which rounds to even, while the exact sum lies just to
+    # the other side.  MAC rounds the product first, so it never meets the
+    # midpoint; it must still agree with the oracle.
+    rows = []
+    for e in (-8, 30, -50):
+        for sign in (1.0, -1.0):
+            rows.append([-sign * 2.0 ** (e - 60), sign * 7.0 * 2.0 ** (e - 4)])
+            rows.append([sign * 2.0 ** (e - 60), sign * 9.0 * 2.0 ** (e - 4)])
+    a = np.array(rows)
+    b = np.array([[1.0, 1.0], [37 / 16, 29 / 16]])
+    _check_lanes(a, b, BF8, mode, 8, [(i, j) for i in range(len(a)) for j in range(2)])
+    got = matmul_wide(a, b, BF8, mode=mode)
+    ties = np.zeros(got.shape, dtype=bool)
+    ties[0::2, 0] = ties[1::2, 1] = True
+    naive = roundfp_array(a[:, :1] * b[:1] + a[:, 1:] * b[1:], BF8)
+    differs = got[ties] != naive[ties]
+    assert differs.all() if mode is not AccumMode.MAC else not differs.any()
+
+
+@pytest.mark.parametrize("mode", FORMAT_WIDTH_MODES, ids=lambda m: m.value)
+def test_format_width_overflow_partway_through_a_block(mode):
+    # Lane 0 overflows at step 1; lane 1 reaches the overflow threshold
+    # 65520, a midpoint that ties to even, 65536, which is infinity.
+    # Both must stay infinite through the steps after, although finite
+    # steps follow.  Lane 2 rounds down to max_finite and comes back.
+    big = HALF.max_finite
+    a = np.array([[big, big, -big, 1.0],
+                  [big, 16.0, -big, 1.0],
+                  [big, 8.0, -big, 1.0],
+                  [-big, -big, big, 1.0]])
+    b = np.ones((4, 1))
+    got = matmul_wide(a, b, HALF, mode=mode)
+    assert got[:, 0].tolist() == [math.inf, math.inf, 1.0, -math.inf]
+    _check_lanes(a, b, HALF, mode, 8, [(i, 0) for i in range(4)])
+
+
+@pytest.mark.parametrize("mode", FORMAT_WIDTH_MODES, ids=lambda m: m.value)
+def test_format_width_flush_partway_through_a_block(mode):
+    # In 1/6/9/n, min_normal - 1.5 min_normal = -0.5 min_normal flushes to
+    # -0 at step 1, and adding -0 keeps it.  In lane 1, step 3 adds the
+    # denormal product 0.75 min_normal, which flushes to +0 as well.
+    mn = WIDE_N.min_normal
+    a = np.array([[mn, -1.5 * mn, 0.0, -0.0],
+                  [mn, -1.5 * mn, 0.0, 1.5 * 2.0**-16]])
+    b = np.array([[1.0], [1.0], [-1.0], [2.0**-15]])
+    got = matmul_wide(a, b, WIDE_N, mode=mode)
+    assert (got == 0.0).all()
+    if mode is not AccumMode.FMAC8:  # the drain into the +0 master gives +0
+        assert np.signbit(got[:, 0]).tolist() == [True, False]
+    _check_lanes(a, b, WIDE_N, mode, 8, [(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("chunk, at", ((2, 0), (3, 255)), ids=("chunk2", "chunk3-across-blocks"))
+def test_fmac8_drains_the_corrected_step(chunk, at):
+    # Steps `at` and `at + 1` are the 259 tie of
+    # test_format_width_midpoint_sum_is_rounded_once, in one chunk; the
+    # next step drains the corrected 258/256 into the master, once.  With
+    # chunk 3 the pair straddles the first two 256-step blocks, so the
+    # corrected chunk continues from one block into the next.
+    k = 300
+    a = np.zeros((1, k))
+    b = np.zeros((k, 1))
+    a[0, at:at + 3] = -(2.0**-68), 7 / 16, 1.0
+    b[at:at + 3, 0] = 1.0, 37 / 16, 0.5
+    a[0, -1], b[-1, 0] = 1.0, 2.0**-8
+    got = matmul_wide(a, b, BF8, mode=AccumMode.FMAC8, chunk=chunk)
+    assert float(got[0, 0]) == 258 / 256 + 0.5 + 2.0**-8
+    _check_lanes(a, b, BF8, AccumMode.FMAC8, chunk, [(0, 0)])
+
+
 @pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
 def test_matmul_negative_zero_products_sum_to_positive_zero(mode):
     # every accumulator starts at +0, and (+0) + (-0) is +0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fpemu.formats import FpFormat
+from fpemu.formats import FpFormat, classify_array, decode16_array
 from fpemu.telemetry import (
     CSV_COLUMNS,
     DenormalStats,
@@ -51,6 +51,31 @@ def test_empty_tensor_has_zero_fraction():
 def test_negative_denormals_are_counted():
     s = stats([-(2.0**-24), -(2.0**-15), 2.0**-14])
     assert s.n_denormal == 2 and s.n_normal == 1
+
+
+def test_counts_match_the_class_codes():
+    # from_array counts four comparisons one at a time; the counts must be
+    # those of classify_array's codes on every 16-bit word (denormals,
+    # specials), raw binary32 and binary64 bit patterns (signaling NaNs
+    # included), binary64 values below binary32's range, a 2-D view and
+    # an empty array
+    rng = np.random.default_rng(11)
+    raw32 = np.concatenate([
+        rng.integers(0, 1 << 32, size=4000, dtype=np.uint64).astype(np.uint32),
+        np.array([0x7F800001, 0xFF800001, 0x00000001, 0x80000000], dtype=np.uint32),
+    ]).view(np.float32)
+    raw64 = rng.integers(0, 1 << 64, size=4000, dtype=np.uint64).view(np.float64)
+    tiny = np.array([[2.0**-149, -(2.0**-160)], [0.0, -np.inf]])
+    words = np.arange(1 << 16, dtype=np.uint16)
+    for fmt in (HALF, WIDE, FpFormat.parse("1/6/9/n"), FpFormat.parse("1/8/7/n")):
+        corpora = [raw32, raw64, tiny.T, np.zeros(0, np.float32)]
+        if fmt.width == 16:
+            corpora.append(decode16_array(words, fmt))
+        for x in corpora:
+            s = DenormalStats.from_array(x, fmt, tensor_id="t", phase=Phase.WEIGHT, step=0)
+            want = np.bincount(classify_array(x, fmt).ravel(), minlength=5).tolist()
+            got = [s.n_zero, s.n_denormal, s.n_normal, s.n_inf, s.n_nan]
+            assert got == want and all(type(n) is int for n in got)
 
 
 def test_sink_rejects_duplicate_keys():

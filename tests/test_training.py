@@ -6,6 +6,7 @@ import pytest
 from fpemu.formats import FpFormat
 from fpemu.instructions import AccumMode
 from fpemu.rounding import roundfp, roundfp_array
+from fpemu.tasks import TASK_NAMES, TASK_SIZES, build_task_data
 from fpemu.telemetry import Phase, TelemetrySink
 from fpemu.training import (
     Linear,
@@ -87,6 +88,14 @@ def test_config_validation():
         TrainConfig(task="regression", fmt=HALF, dtype="float64")
     with pytest.raises(ValueError):
         TrainConfig(task="regression", steps=0)
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_batch_size_is_checked_against_the_task_data(task):
+    assert len(build_task_data(task, 7).inputs) == TASK_SIZES[task]
+    TrainConfig(task=task, batch_size=TASK_SIZES[task])
+    with pytest.raises(ValueError, match="^batch_size exceeds dataset size$"):
+        TrainConfig(task=task, batch_size=TASK_SIZES[task] + 1)
 
 
 # ── loss scaler ────────────────────────────────────────────────────────
@@ -249,7 +258,6 @@ def test_dls_growth_schedule():
     assert result.scales[50] == 4096.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_divergence_is_detected_and_stops_the_run():
     cfg = resolve_config({
         "task": "regression", "format": "none", "steps": "300",
@@ -258,6 +266,15 @@ def test_divergence_is_detected_and_stops_the_run():
     result = train(cfg)
     assert result.outcome == "diverged"
     assert len(result.losses) < 300
+
+
+@pytest.mark.parametrize("task", ("mlp_classify", "cnn_classify"))
+def test_diverging_classifiers_raise_no_numpy_warning(task):
+    # inf and NaN logits, activations and weights; the suite turns any
+    # RuntimeWarning into an error
+    cfg = resolve_config({"task": task, "format": "1/6/9/n", "steps": "12", "lr": "1e9"})
+    result = train(cfg)
+    assert result.outcome == "diverged"
 
 
 def test_outcome_thresholds():
