@@ -11,6 +11,7 @@ itself.  Values of any such format are carried exactly in Python floats
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -65,18 +66,18 @@ class FpFormat:
         if not 1 <= self.mant_bits <= 23:
             raise ValueError(f"mant_bits must be in [1, 23], got {self.mant_bits}")
 
-    # ── derived constants ──────────────────────────────────────────────
+    # ── derived constants (the cached ones are computed once per format) ─
 
-    @property
+    @functools.cached_property
     def bias(self) -> int:
         return 2 ** (self.exp_bits - 1) - 1
 
-    @property
+    @functools.cached_property
     def e_min(self) -> int:
         """Smallest unbiased exponent of a normal value: -(2^(e-1) - 2)."""
         return -(2 ** (self.exp_bits - 1) - 2)
 
-    @property
+    @functools.cached_property
     def e_max(self) -> int:
         """Largest unbiased exponent of a normal value: 2^(e-1) - 1."""
         return 2 ** (self.exp_bits - 1) - 1
@@ -85,7 +86,7 @@ class FpFormat:
     def width(self) -> int:
         return 1 + self.exp_bits + self.mant_bits
 
-    @property
+    @functools.cached_property
     def min_normal(self) -> float:
         return math.ldexp(1.0, self.e_min)
 
@@ -101,7 +102,7 @@ class FpFormat:
         """Smallest positive representable magnitude (denormal if available)."""
         return self.min_denormal if self.denormals else self.min_normal
 
-    @property
+    @functools.cached_property
     def max_finite(self) -> float:
         return math.ldexp(2.0 - math.ldexp(1.0, -self.mant_bits), self.e_max)
 

@@ -39,31 +39,32 @@ operands, or 1/8/7 products below 2^-149) step with a binary64 add cast
 to float32, which can double round only where the add was inexact and
 its sum sits on a binary32 tie or below 2^-126.
 
-MAC, FMAC and FMAC8 step with a binary64 add and a magic-constant
-rounding into the format: ``(s + M) - M`` with ``M = 1.5 * 2^(E-p+52)``
-for the sum's exponent E (at least the minimum normal's), then the
-sum's sign for zeros and, in /n formats, a flush to signed zero.  RNE is
-monotone and the format's midpoints are binary64 numbers, so this
-differs from rounding the exact sum only where the add was inexact and
-its sum is a midpoint of the gradual-underflow grid; it also leaves a
-sum above ``max_finite`` finite.  The check looks for both.  FMAC8's
-accumulator restarts every ``chunk`` steps, so the chunks of a block run
-side by side as lanes of one ``chunk``-step reduction, and are drained
-into the master only after the block has passed its check.  All paths
-are tested against the rational oracle.
+MAC, FMAC and FMAC8 step with a binary64 add and the rounding kernel's
+magic-constant rounding into the format: ``(s + M) - M`` with
+``M = 1.5 * 2^(E-p+52)`` for the sum's exponent E (at least e_min), built
+by the same helper as the kernel's ``M`` (:func:`rounding._magic`) but
+without its clamp at e_max + 1, which sums below 2^(2 * e_max + 3) never
+need; then the sum's sign for zeros and, in /n formats, a flush to
+signed zero.  RNE is monotone and the format's midpoints are binary64
+numbers, so this differs from rounding the exact sum only where the add
+was inexact and its sum is a midpoint of the gradual-underflow grid; it
+also leaves a sum above ``max_finite`` finite.  The check looks for
+both.  FMAC8's accumulator restarts every ``chunk`` steps, so the chunks
+of a block run side by side as lanes of one ``chunk``-step reduction,
+and are drained into the master only after the block has passed its
+check.  All paths are tested against the rational oracle.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import _ABS, _bits, _on_grid, roundfp_array
+from .rounding import _ABS, _EXP, _grid, _magic, _on_grid, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -229,7 +230,6 @@ def _coerce_matrix(m, fmt: FpFormat, name: str) -> np.ndarray:
 _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
 
-_EXP = np.uint64(0x7FF0000000000000)
 _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
 _B32_DROPPED = np.uint64((1 << 29) - 1)  # binary64 significand bits below binary32's
 _B32_TIE = np.uint64(1 << 28)
@@ -317,12 +317,11 @@ def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
     round(rows[i] + prods[i], fmt), float64 with the accumulator in row 0.
 
     Each step rounds the binary64 sum s as (s + M) - M, where the magic
-    constant M = 1.5 * 2^(E - p + 52) puts the format's quantum at s's
-    exponent E (at least e_min) into M's last place.  Its bits are s's
-    exponent bits plus a constant, floored at M of the minimum normal;
-    for inf and NaN they wrap into a tiny finite M that leaves the lane
-    as it is.  The step then gives zeros the sign of s and, for /n
-    formats, flushes a denormal to signed zero.
+    constant M = 1.5 * 2^(E - p + 52) from :func:`rounding._magic` puts
+    the format's quantum at s's exponent E (at least e_min) into M's last
+    place.  For inf and NaN, M wraps into a tiny negative value that
+    leaves the lane as it is.  The step then gives zeros the sign of s
+    and, for /n formats, flushes a denormal to signed zero.
 
     RNE is monotone and ``fmt``'s midpoints are binary64 numbers, so this
     can differ from rounding the exact sum only where the add was inexact
@@ -330,20 +329,14 @@ def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
     leaves a value above ``max_finite`` finite.  Such lanes are redone
     with :func:`_fused_step_array`.
     """
-    p = fmt.mant_bits
-    add = np.uint64(((52 - p) << 52) | (1 << 51))
-    floor = _bits(1.5 * math.ldexp(1.0, fmt.e_min - p + 52))
+    # M needs no clamp: |s| < 2^(2 * e_max + 3), and M of inf and NaN is harmless.
+    g = _grid(fmt)
     max_finite = fmt.max_finite
     flush_below = None if fmt.denormals else fmt.min_normal
 
-    def magic(s):
-        m = s.view(np.uint64) & _EXP
-        m += add
-        return np.maximum(m, floor, out=m)
-
     def step(acc, prod, out):
         np.add(acc, prod, out=out)
-        m = magic(out).view(np.float64)
+        m = _magic(out, g, clamp=False).view(np.float64)
         r = out + m
         r -= m
         np.copysign(r, out, out=out)
@@ -353,7 +346,7 @@ def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
     def suspects(rows, prods):
         acc = rows[:-1]
         s = acc + prods
-        m = magic(s)
+        m = _magic(s, g, clamp=False)
         mf = m.view(np.float64)
         d = s + mf
         d -= mf

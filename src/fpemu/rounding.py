@@ -5,19 +5,16 @@ contract (inputs are binary32-width surrogates, which convert to binary64
 losslessly) and leaves headroom for the fused instruction paths, which
 feed it round-to-odd intermediates wider than binary32.
 
-The algorithm works on the ``uint64`` view of |x|.  At or above the
-format's minimum normal, rounding to ``p`` explicit mantissa bits drops
-``s = 52 - p`` significand bits: adding ``2^(s-1) - 1`` plus the lowest
-kept bit and clearing the dropped bits is round-to-nearest-even, and a
-carry out of the significand steps the exponent up as it should.  Below
-the minimum normal the quantum is fixed at ``2^(e_min - p)``, and one
-binary64 add and subtract of ``C = 2^(e_min - p + 52)`` rounds onto that
-grid (binary64 itself rounds to nearest even, and ``|x| + C`` stays in
-C's binade).  Results above the largest finite value become infinity,
-the sign bit is ORed back, and NaN lanes become the canonical NaN.
-Rounding happens on the gradual-underflow grid for every format; formats
-without denormals flush a denormal result to signed zero afterwards, so
-inputs that round to the minimum normal or above never flush.
+It rounds |x| with one add and subtract of a magic constant: binary64
+itself rounds to nearest even, so ``(|x| + M) - M`` with
+``M = 1.5 * 2^(E - p + 52)`` lands on the grid of quantum ``2^(E - p)``.
+E is the exponent of |x| clamped to [e_min, e_max + 1], so the same step
+rounds normals and the denormal band.  Scaling by ``2^(1023 - e_max)``
+and back makes every result of ``2^(e_max + 1)`` or more infinite and
+leaves the others exact.  Formats without denormals then flush results
+below the minimum normal to zero, so inputs that round up to it never
+flush.  The sign is copied back and NaN lanes become the canonical NaN.
+No step is a masked copy, so a call costs the same for any mix of values.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +48,9 @@ class RoundingOutcome:
         return self.value.surrogate
 
 
-_SIGN = np.uint64(1 << 63)
 _ABS = np.uint64((1 << 63) - 1)
 _INF = np.uint64(0x7FF0000000000000)
-_NAN = np.uint64(0x7FF8000000000000)  # np.nan, the canonical quiet NaN
+_EXP = _INF  # the exponent field
 
 
 def _bits(v: float) -> np.uint64:
@@ -63,65 +59,73 @@ def _bits(v: float) -> np.uint64:
 
 @dataclass(frozen=True)
 class _Grid:
-    """Bit-level constants of one format's rounding grid."""
+    """Constants of one format's rounding grid."""
 
-    shift: np.uint64       # binary64 significand bits dropped: 52 - p
-    bias: np.uint64        # 2^(shift-1) - 1; the kept LSB completes the tie-to-even
-    keep: np.uint64        # clears the dropped bits
-    min_normal: np.uint64  # bit patterns of magnitudes, for integer comparisons
-    max_finite: np.uint64
+    keep: np.uint64        # clears the binary64 significand bits below the format's
+    max_finite: np.uint64  # bit pattern, for integer comparisons
     c: float               # 2^(e_min - p + 52): |x| + c - c rounds onto the denormal grid
+    low: float             # 2^e_min and 2^(e_max + 1): the range of the exponent
+    high: float            # that a magic constant takes from its input
+    add: np.uint64         # 2^E's bits -> 1.5 * 2^(E - p + 52)'s: ((52 - p) << 52) | 2^51
+    up: float              # 2^(1023 - e_max) and its inverse: a magnitude of
+    down: float            # 2^(e_max + 1) or more overflows between the two
 
 
 @functools.lru_cache(maxsize=None)
 def _grid(fmt: FpFormat) -> _Grid:
     shift = 52 - fmt.mant_bits
     return _Grid(
-        shift=np.uint64(shift),
-        bias=np.uint64((1 << (shift - 1)) - 1),
         keep=np.uint64(~((1 << shift) - 1) & ((1 << 64) - 1)),
-        min_normal=_bits(fmt.min_normal),
         max_finite=_bits(fmt.max_finite),
         c=math.ldexp(1.0, fmt.e_min - fmt.mant_bits + 52),
+        low=fmt.min_normal,
+        high=math.ldexp(1.0, fmt.e_max + 1),
+        add=np.uint64((shift << 52) | (1 << 51)),
+        up=math.ldexp(1.0, 1023 - fmt.e_max),
+        down=math.ldexp(1.0, fmt.e_max - 1023),
     )
 
 
-def _round_core(x: np.ndarray, fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Round float64 values into ``fmt``.
+def _magic(x: np.ndarray, g: _Grid, clamp: bool = True) -> np.ndarray:
+    """Bit patterns of the M that round float64 ``x`` as ``(|x| + M) - M``:
+    ``g.add`` plus the bits of 2^E, for x's exponent E floored at e_min
+    and, with ``clamp``, capped at e_max + 1.  The cap keeps M of huge
+    magnitudes, inf and NaN out of the sign bit; without it, inf and NaN
+    get a tiny negative M, which leaves them as they are."""
+    m = x.view(np.uint64) & _EXP
+    e = m.view(np.float64)  # 2^E, 0 or inf: float64 min/max are the fast ones
+    if clamp:
+        np.minimum(e, g.high, out=e)
+    np.maximum(e, g.low, out=e)
+    m += g.add
+    return m
 
-    Returns ``(final, pre_flush)`` as float64 arrays whose values are
-    exactly representable in the format (final) and in its gradual
-    underflow variant (pre_flush).  The two differ only for /n formats.
-    """
+
+def _round_core(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """Round float64 values into ``fmt``; returns float64 values that are
+    exactly representable in the format."""
     g = _grid(fmt)
     # Arbitrary bit patterns are legal input; converting or adding a
     # signaling NaN raises numpy's "invalid" FP flag even though the
     # quieted NaN is exactly what we want (NaN lanes are overwritten).
-    with np.errstate(invalid="ignore"):
+    # The scale pair overflows on purpose.
+    with np.errstate(invalid="ignore", over="ignore"):
         x = np.asarray(x, dtype=np.float64)
-        # Flat, so that ufuncs return arrays even for 0-d input.
-        bits = x.reshape(-1).view(np.uint64)
-        mag = bits & _ABS
-        r = mag >> g.shift
-        r &= np.uint64(1)
-        r += mag
-        r += g.bias
-        r &= g.keep
-        sub = mag.view(np.float64) + g.c
-        sub -= g.c
-    np.copyto(r, sub.view(np.uint64), where=mag < g.min_normal)
-    np.copyto(r, _INF, where=r > g.max_finite)
-    sign = bits & _SIGN
-    pre = r | sign
-    nan = mag > _INF
-    if nan.any():
-        pre[nan] = _NAN
-    if fmt.denormals:
-        final = pre
-    else:
-        # r of a NaN lane is _INF here, so NaN lanes keep their NaN.
-        final = np.where(r < g.min_normal, sign, pre)
-    return final.view(np.float64).reshape(x.shape), pre.view(np.float64).reshape(x.shape)
+        flat = x.reshape(-1)  # so that ufuncs return arrays even for 0-d input
+        mf = _magic(flat, g).view(np.float64)
+        r = np.abs(flat)
+        r += mf
+        r -= mf
+        r *= g.up
+        r *= g.down
+        if not fmt.denormals:
+            # mf is free now, and a float64 0/1 multiplies faster than a bool.
+            r *= np.greater_equal(r, g.low, out=mf, casting="unsafe")
+        np.copysign(r, flat, out=r)
+        nan = np.isnan(r)
+        if nan.any():
+            r[nan] = np.nan
+    return r.reshape(x.shape)
 
 
 def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
@@ -136,9 +140,9 @@ def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
     ok = (mag & ~g.keep) == 0
     ok &= mag <= g.max_finite
     ok |= mag >= _INF
-    small = mag < g.min_normal
+    magf = mag.view(np.float64)
+    small = magf < g.low
     if fmt.denormals:
-        magf = mag.view(np.float64)
         with np.errstate(invalid="ignore"):
             on_quantum = (magf + g.c) - g.c == magf
         np.copyto(ok, on_quantum, where=small)
@@ -156,11 +160,11 @@ def roundfp_array(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Elementwise roundfp. Returns float32 (every format fits binary32)."""
     x = np.asarray(x)
     if x.size <= _CHUNK:
-        return _round_core(x, fmt)[0].astype(np.float32)
+        return _round_core(x, fmt).astype(np.float32)
     out = np.empty(x.shape, dtype=np.float32)
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     for i in range(0, flat.size, _CHUNK):
-        flat_out[i:i + _CHUNK] = _round_core(flat[i:i + _CHUNK], fmt)[0]
+        flat_out[i:i + _CHUNK] = _round_core(flat[i:i + _CHUNK], fmt)
     return out
 
 
@@ -172,9 +176,9 @@ def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
     the rounding step proper was inexact, independent of any flush.
     """
     arr = np.array([x], dtype=np.float64)
-    final_a, pre_a = _round_core(arr, fmt)
-    final = float(final_a[0])
-    pre = float(pre_a[0])
+    final = float(_round_core(arr, fmt)[0])
+    # The value before any flush: the same rounding into the /d twin.
+    pre = final if fmt.denormals else float(_round_core(arr, replace(fmt, denormals=True))[0])
 
     flags = RoundFlag(0)
     if _same_value(final, x):

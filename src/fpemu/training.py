@@ -340,23 +340,22 @@ class StepEnv:
 def _ordered_sum_rows(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0 with one add per row, ascending index order.
 
-    Overflowed gradients can put inf of both signs in a column; the
+    One sequential ``np.add.accumulate`` over the rows after a +0 row, so
+    that the sums start from +0 as a loop would (a column of -0 sums to
+    +0).  Overflowed gradients can put inf of both signs in a column; the
     resulting NaN is intentional (the loss-scaling skip logic catches
     it), so the invalid-operand warning is suppressed.
     """
-    acc = np.zeros(a.shape[1:], dtype=a.dtype)
+    rows = np.zeros((a.shape[0] + 1, *a.shape[1:]), dtype=a.dtype)
+    rows[1:] = a
     with np.errstate(invalid="ignore"):
-        for i in range(a.shape[0]):
-            acc = acc + a[i]
-    return acc
+        np.add.accumulate(rows, axis=0, out=rows)
+    return rows[-1]
 
 
 def _ordered_sum_flat(a: np.ndarray):
     """Scalar sum of all elements in C order, one rounding per add."""
-    acc = a.dtype.type(0.0)
-    for v in a.ravel():
-        acc = acc + v
-    return acc
+    return _ordered_sum_rows(a.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 flush-to-zero applied after rounding, and the outcome flags."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpemu.formats import BINARY32, FpFormat
-from fpemu.oracle import round_float
+from fpemu.oracle import round_exact, round_float
 from fpemu.rounding import RoundFlag, _on_grid, roundfp, roundfp_array
 
 HALF = FpFormat.parse("1/5/10/d")
@@ -172,6 +173,64 @@ def test_array_kernel_matches_oracle_on_bit_patterns_and_midpoints(spec):
             assert math.isnan(g)
         else:
             assert g == want and math.copysign(1, g) == math.copysign(1, want), f"{x!r}"
+
+
+def _exponent_sweep(rng, fmt):
+    """2^e and a random significand at every binary64 exponent e from
+    -1074 to 1023, the format's grid midpoints at each of its exponents
+    (denormal band and overflow threshold included), the binary64
+    neighbours of all of these, both signs, and the specials."""
+    e = np.arange(-1074, 1024)
+    frac = rng.integers(0, 1 << 52, e.size, dtype=np.uint64).astype(np.float64)
+    powers = np.ldexp(1.0, e)
+    xs = [powers, np.ldexp(1.0 + frac * 2.0**-52, e), [np.finfo(np.float64).max]]
+    p = fmt.mant_bits
+    for E in range(fmt.e_min - p - 1, fmt.e_max + 1):
+        q = max(E, fmt.e_min) - p
+        lo, hi = (1 << p, 1 << (p + 1)) if E >= fmt.e_min else (0, 1 << p)
+        m = np.concatenate([[lo, hi - 1], rng.integers(lo, hi, 4)])
+        xs.append((2 * m + 1) * 2.0 ** (q - 1))
+    xs = np.concatenate(xs)
+    with np.errstate(over="ignore"):  # the neighbour of the largest binary64 is inf
+        xs = np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
+    return np.concatenate([xs, -xs, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+
+
+@pytest.mark.parametrize(
+    "fmt",
+    [pytest.param(FpFormat.parse(s), id=s)
+     for s in ("1/2/1/d", "1/5/10/d", "1/6/9/n", "1/8/7/n", "1/8/23/d", "1/8/23/n")]
+    + [pytest.param(BINARY32, id="BINARY32")],
+)
+def test_array_kernel_matches_oracle_at_every_binary64_exponent(fmt):
+    xs = _exponent_sweep(np.random.default_rng(43), fmt)
+    got = roundfp_array(xs, fmt)
+    assert got.dtype == np.float32
+    for x, g in zip(xs.tolist(), got.tolist()):
+        want = round_float(x, fmt)
+        if math.isnan(want):
+            assert math.isnan(g)
+        else:
+            assert g == want and math.copysign(1, g) == math.copysign(1, want), f"{x!r}"
+    # NaN lanes hold the canonical quiet NaN, whatever the input's sign and payload.
+    nan_bits = got[np.isnan(got)].view(np.uint32)
+    assert nan_bits.size == 2 and (nan_bits == 0x7FC00000).all()
+
+
+@pytest.mark.parametrize("spec", ["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/2/1/n"])
+def test_roundfp_flags_match_oracle_at_every_binary64_exponent(spec):
+    fmt = FpFormat.parse(spec)
+    xs = _exponent_sweep(np.random.default_rng(47), fmt)
+    for x in xs[np.isfinite(xs)].tolist():
+        want = round_exact(Fraction(abs(x)), fmt, negative=math.copysign(1.0, x) < 0)
+        out = roundfp(x, fmt)
+        assert val(out) == want.value and math.copysign(1, val(out)) == math.copysign(1, want.value)
+        flags = out.flags
+        assert (RoundFlag.ROUNDED in flags) == want.rounded, f"{x!r}"
+        assert (RoundFlag.UNDERFLOWED_TO_ZERO in flags) == want.underflowed, f"{x!r}"
+        assert (RoundFlag.OVERFLOWED_TO_INF in flags) == want.overflowed, f"{x!r}"
+        assert (RoundFlag.FLUSHED_DENORMAL in flags) == want.flushed, f"{x!r}"
+        assert (RoundFlag.EXACT in flags) == (not want.rounded and not want.flushed), f"{x!r}"
 
 
 @pytest.mark.parametrize("fmt", ALL_FMTS + (BINARY32,), ids=str)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from fpemu.training import (
     train,
     _det_exp,
     _det_log,
+    _ordered_sum_flat,
+    _ordered_sum_rows,
 )
 
 HALF = FpFormat.parse("1/5/10/d")
@@ -319,6 +322,48 @@ def test_softmax_ce_hand_properties():
     # uniform logits give loss log(3) on the second sample
     expected = (-math.log(math.e**2 / (math.e**2 + 1 + math.e**-1)) + math.log(3)) / 2
     assert abs(float(loss) - expected) < 1e-6
+
+
+def _loop_sum_rows(a):
+    acc = np.zeros(a.shape[1:], dtype=a.dtype)
+    for i in range(a.shape[0]):
+        acc = acc + a[i]
+    return acc
+
+
+def _ordered_sum_cases():
+    rng = np.random.default_rng(55)
+    for dtype, _ in itertools.product((np.float32, np.float64), range(7)):
+        big = np.finfo(dtype).max
+        for n, m in ((0, 3), (1, 1), (5, 4), (32, 24), (1152, 3), (7, 0)):
+            for kind in ("normal", "neg_zero", "inf_pair", "overflow"):
+                a = (rng.standard_normal((n, m)) * 10.0 ** rng.integers(-30, 30, (n, m))).astype(dtype)
+                if kind == "neg_zero" and m:
+                    a[:, 0] = -0.0
+                elif kind == "inf_pair" and n >= 2 and m:
+                    a[0, 0], a[-1, 0] = np.inf, -np.inf
+                elif kind == "overflow" and n >= 2 and m:
+                    a[:, -1] = big / 2
+                yield a
+
+
+def test_ordered_sums_match_the_loop():
+    cases = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in _ordered_sum_cases():
+            want = _loop_sum_rows(a)
+            got = _ordered_sum_rows(a)
+            assert got.dtype == a.dtype
+            assert got.tobytes() == want.tobytes(), a.shape
+            flat = a.dtype.type(0.0)
+            for v in a.ravel():
+                flat = flat + v
+            got_flat = _ordered_sum_flat(a)
+            assert type(got_flat) is a.dtype.type
+            assert got_flat.tobytes() == flat.tobytes(), a.shape
+            cases += 1
+    assert cases == 336
+    assert math.copysign(1.0, _ordered_sum_rows(np.full((3, 1), -0.0))[0]) == 1.0
 
 
 def test_det_exp_and_log_accuracy():
