@@ -47,11 +47,8 @@ class _Parser(argparse.ArgumentParser):
     # collide with the "degraded" training outcome; remap to 1.
     def error(self, message: str) -> "NoReturn":  # type: ignore[name-defined]
         self.print_usage(sys.stderr)
-        raise SystemExit(self._cli_exit(message))
-
-    def _cli_exit(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def parse_value(text: str) -> float:
@@ -99,6 +96,19 @@ def _float_str(x: float) -> str:
 # subcommands
 
 
+# (printed label, FpFormat.constants() key) of each format-info line
+_FORMAT_INFO_ROWS = [
+    ("width_bits", "width"),
+    ("bias", "bias"),
+    ("e_min", "e_min"),
+    ("e_max", "e_max"),
+    ("min_denormal", "min_denormal"),
+    ("min_normal", "min_normal"),
+    ("max_finite", "max_finite"),
+    ("overflow_threshold", "overflow_threshold"),
+]
+
+
 def _cmd_format_info(args: argparse.Namespace) -> int:
     for i, spec in enumerate(args.formats):
         fmt = _parse_format(spec)
@@ -107,24 +117,15 @@ def _cmd_format_info(args: argparse.Namespace) -> int:
         consts = fmt.constants()
         print(f"format {consts.pop('format')}")
         print(f"  denormals           {'enabled' if fmt.denormals else 'flush-to-zero'}")
-        labels = {
-            "width": "width_bits",
-            "bias": "bias",
-            "e_min": "e_min",
-            "e_max": "e_max",
-            "min_denormal": "min_denormal",
-            "min_normal": "min_normal",
-            "max_finite": "max_finite",
-            "overflow_threshold": "overflow_threshold",
-        }
-        for key in ("width", "bias", "e_min", "e_max"):
-            print(f"  {labels[key]:<19} {consts[key]}")
-        for key in ("min_denormal", "min_normal", "max_finite", "overflow_threshold"):
+        for label, key in _FORMAT_INFO_ROWS:
             value = consts[key]
             if value is None:
-                print(f"  {labels[key]:<19} none")
+                text = "none"
+            elif isinstance(value, int):
+                text = str(value)
             else:
-                print(f"  {labels[key]:<19} {_float_str(float(value))}")
+                text = _float_str(float(value))
+            print(f"  {label:<19} {text}")
     return 0
 
 

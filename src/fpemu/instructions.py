@@ -199,8 +199,7 @@ def _add_round_to_odd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     needs_nudge = (err != 0) & np.isfinite(s)
     if not needs_nudge.any():
         return s
-    bits = s.view(np.uint64) if isinstance(s, np.ndarray) else np.array([s]).view(np.uint64)
-    odd = (bits & np.uint64(1)).astype(bool)
+    odd = (s.view(np.uint64) & np.uint64(1)).astype(bool)
     needs_nudge &= ~odd
     # Nudge one ulp toward the discarded error.  Adjacent floats differ in
     # the last bit, so the neighbor in either direction has an odd LSB.

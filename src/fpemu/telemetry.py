@@ -35,6 +35,7 @@ CSV_COLUMNS = [
     "n_nan",
     "fraction",
 ]
+_COUNT_COLUMNS = [c for c in CSV_COLUMNS if c.startswith("n_")]
 
 
 class Phase(enum.Enum):
@@ -68,17 +69,8 @@ class DenormalStats:
     def from_array(
         cls, values: np.ndarray, fmt: FpFormat, *, tensor_id: str, phase, step: int
     ) -> "DenormalStats":
-        n_zero, n_denormal, n_normal, n_inf, n_nan = class_counts(values, fmt)
-        return cls(
-            tensor_id=tensor_id,
-            phase=_phase_str(phase),
-            step=step,
-            n_zero=n_zero,
-            n_denormal=n_denormal,
-            n_normal=n_normal,
-            n_inf=n_inf,
-            n_nan=n_nan,
-        )
+        counts = dict(zip(_COUNT_COLUMNS, class_counts(values, fmt)))
+        return cls(tensor_id=tensor_id, phase=_phase_str(phase), step=step, **counts)
 
     @property
     def total(self) -> int:
@@ -111,17 +103,7 @@ class RunSummary:
     outcome: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "run_id": self.run_id,
-            "format": self.fmt,
-            "dls": self.dls,
-            "accum_mode": self.accum_mode,
-            "per_tensor_max_denormal_fraction": self.per_tensor_max,
-            "global_max_denormal_fraction": self.global_max,
-            "n_records": self.n_records,
-            "final_loss": self.final_loss,
-            "outcome": self.outcome,
-        }
+        payload = {key: getattr(self, name) for key, (name, _) in _SUMMARY_KEYS.items()}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -196,13 +178,14 @@ class TelemetrySink:
         final_loss: float | None = None,
         outcome: str | None = None,
     ) -> RunSummary:
+        per = self.per_tensor_max()
         return RunSummary(
             run_id=self.run_id,
             fmt=fmt,
             dls=dls,
             accum_mode=accum_mode,
-            per_tensor_max=self.per_tensor_max(),
-            global_max=self.global_max(),
+            per_tensor_max=per,
+            global_max=max(per.values(), default=0.0),
             n_records=len(self.records),
             final_loss=final_loss,
             outcome=outcome,
@@ -215,19 +198,10 @@ class TelemetrySink:
             w = csv.writer(f)
             w.writerow(CSV_COLUMNS)
             for r in self.records:
+                counts = [getattr(r, c) for c in _COUNT_COLUMNS]
                 w.writerow(
-                    [
-                        self.run_id,
-                        r.tensor_id,
-                        r.phase,
-                        r.step,
-                        r.n_zero,
-                        r.n_denormal,
-                        r.n_normal,
-                        r.n_inf,
-                        r.n_nan,
-                        repr(r.fraction_denormal),
-                    ]
+                    [self.run_id, r.tensor_id, r.phase, r.step, *counts,
+                     repr(r.fraction_denormal)]
                 )
 
     @classmethod
@@ -244,11 +218,7 @@ class TelemetrySink:
                     tensor_id=row["tensor_id"],
                     phase=row["phase"],
                     step=int(row["step"]),
-                    n_zero=int(row["n_zero"]),
-                    n_denormal=int(row["n_denormal"]),
-                    n_normal=int(row["n_normal"]),
-                    n_inf=int(row["n_inf"]),
-                    n_nan=int(row["n_nan"]),
+                    **{c: int(row[c]) for c in _COUNT_COLUMNS},
                 )
                 declared = float(row["fraction"])
                 if declared != stats.fraction_denormal:

@@ -26,9 +26,10 @@ produce byte-identical output files.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,10 @@ class TrainConfig:
             raise ValueError("divergence_patience must be positive")
         if not self.converged_loss <= self.degraded_loss:
             raise ValueError("need converged_loss <= degraded_loss")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.dls:
+            self.loss_scaler()  # refuses a bad scale schedule before any run starts
 
     @property
     def fmt_name(self) -> str:
@@ -130,30 +135,29 @@ class TrainConfig:
 
     def to_text(self) -> str:
         """Canonical key=value rendering; parseable by parse_config_text."""
-        lines = [
-            f"task={self.task}",
-            f"format={self.fmt_name}",
-            f"mode={self.mode.value}",
-            f"chunk={self.chunk}",
-            f"dls={'on' if self.dls else 'off'}",
-            f"init_scale={self.init_scale!r}",
-            f"growth_interval={self.growth_interval}",
-            f"growth_factor={self.growth_factor!r}",
-            f"backoff_factor={self.backoff_factor!r}",
-            f"min_scale={self.min_scale!r}",
-            f"max_scale={self.max_scale!r}",
-            f"steps={self.steps}",
-            f"batch_size={self.batch_size}",
-            f"lr={self.lr!r}",
-            f"momentum={self.momentum!r}",
-            f"seed={self.seed}",
-            f"telemetry_interval={self.telemetry_interval}",
-            f"divergence_patience={self.divergence_patience}",
-            f"converged_loss={self.converged_loss!r}",
-            f"degraded_loss={self.degraded_loss!r}",
-            f"dtype={self.dtype}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{_config_key(f.name)}={_render(getattr(self, f.name))}\n" for f in fields(self)
+        )
+
+    def loss_scaler(self) -> LossScaler:
+        """A fresh scaler on this config's schedule; raises if the schedule is bad."""
+        return LossScaler(**{name: getattr(self, name) for name in _SCALER_KEYS})
+
+
+def _config_key(name: str) -> str:
+    """The config key of a TrainConfig field; only ``fmt`` is spelled otherwise."""
+    return "format" if name == "fmt" else name
+
+
+def _render(value) -> str:
+    """A field value as config.txt writes it."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, AccumMode):
+        return value.value
+    return "none" if value is None else str(value)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -181,47 +185,41 @@ _BOOL_WORDS = {
     "off": False, "false": False, "no": False, "0": False,
 }
 
-_INT_KEYS = {
-    "chunk", "growth_interval", "steps", "batch_size", "seed",
-    "telemetry_interval", "divergence_patience",
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"bad boolean {raw!r} for dls")
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _parse_format(raw: str) -> FpFormat | None:
+    return None if raw.lower() in ("none", "") else FpFormat.parse(raw)
+
+
+# type of a field's default -> parser of its config value
+_PARSERS = {
+    bool: _parse_bool, int: int, float: float, str: str,
+    AccumMode: AccumMode.parse, type(None): _parse_format,
 }
-_FLOAT_KEYS = {
-    "init_scale", "growth_factor", "backoff_factor", "min_scale",
-    "max_scale", "lr", "momentum", "converged_loss", "degraded_loss",
-}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {"task", "format", "mode", "dls", "dtype"}
+# config key -> TrainConfig field
+_CONFIG_FIELDS = {_config_key(f.name): f for f in fields(TrainConfig)}
 
 
 def resolve_config(entries: dict[str, str]) -> TrainConfig:
     """Layer file entries over per-task defaults and build a TrainConfig."""
-    unknown = sorted(set(entries) - _KNOWN_KEYS)
+    unknown = sorted(set(entries) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(
-            f"unknown config keys {unknown}; known keys: {sorted(_KNOWN_KEYS)}"
+            f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_FIELDS)}"
         )
     task = entries.get("task", "regression")
     if task not in TASK_NAMES:
         raise ValueError(f"unknown task {task!r}; expected one of {TASK_NAMES}")
 
-    merged: dict[str, object] = {"task": task}
-    merged.update(task_defaults(task))
+    merged: dict[str, object] = dict(task_defaults(task))
     for key, raw in entries.items():
-        if key == "task":
-            continue
-        if key == "format":
-            merged["fmt"] = None if raw.lower() in ("none", "") else FpFormat.parse(raw)
-        elif key == "mode":
-            merged["mode"] = AccumMode.parse(raw)
-        elif key == "dls":
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"bad boolean {raw!r} for dls")
-            merged["dls"] = _BOOL_WORDS[raw.lower()]
-        elif key == "dtype":
-            merged["dtype"] = raw
-        elif key in _INT_KEYS:
-            merged[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            merged[key] = float(raw)
+        f = _CONFIG_FIELDS[key]
+        merged[f.name] = _PARSERS[type(f.default)](raw)
     return TrainConfig(**merged)  # type: ignore[arg-type]
 
 
@@ -292,6 +290,10 @@ class LossScaler:
             self._good_steps = 0
 
 
+# the TrainConfig fields that configure the loss scaler
+_SCALER_KEYS = tuple(inspect.signature(LossScaler).parameters)
+
+
 # ---------------------------------------------------------------------------
 # quantization environment shared by the layers
 
@@ -325,16 +327,15 @@ class StepEnv:
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.fmt is None and self.dtype is np.float64:
-            return a @ b
-        fmt = self.fmt or BINARY32
-        return matmul(a, b, fmt, mode=self.mode, chunk=self.chunk)
+        return self._product(matmul, a, b)
 
     def matmul_wide(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._product(matmul_wide, a, b)
+
+    def _product(self, kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.fmt is None and self.dtype is np.float64:
             return a @ b
-        fmt = self.fmt or BINARY32
-        return matmul_wide(a, b, fmt, mode=self.mode, chunk=self.chunk)
+        return kernel(a, b, self.fmt or BINARY32, mode=self.mode, chunk=self.chunk)
 
 
 def _ordered_sum_rows(a: np.ndarray) -> np.ndarray:
@@ -379,7 +380,16 @@ class Linear:
         self._x: np.ndarray | None = None
         self._wq: np.ndarray | None = None
 
+    # Conv3x3 calls the bodies below, not forward/backward, so a wrapper on
+    # Linear.forward/backward (a profiler span) never runs inside Conv3x3's.
+
     def forward(self, x: np.ndarray, env: StepEnv) -> np.ndarray:
+        return self._affine(x, env)
+
+    def backward(self, dy: np.ndarray, env: StepEnv, need_dx: bool) -> np.ndarray | None:
+        return self._affine_backward(dy, env, need_dx)
+
+    def _affine(self, x: np.ndarray, env: StepEnv) -> np.ndarray:
         self._x = x
         wq = env.quantize(self.W, f"{self.name}.weight", Phase.WEIGHT)
         # Bias vectors are quantized like weights but not logged: with a
@@ -390,7 +400,9 @@ class Linear:
         s = z + bq[None, :]
         return env.quantize(s, f"{self.name}.act", Phase.FORWARD_ACTIVATION)
 
-    def backward(self, dy: np.ndarray, env: StepEnv, need_dx: bool) -> np.ndarray | None:
+    def _affine_backward(
+        self, dy: np.ndarray, env: StepEnv, need_dx: bool
+    ) -> np.ndarray | None:
         dyq = env.quantize(dy, f"{self.name}.dact", Phase.ACTIVATION_GRADIENT)
         self.dW = env.matmul_wide(dyq.T, self._x)
         self.db = _ordered_sum_rows(dyq)
@@ -399,28 +411,18 @@ class Linear:
         return None
 
 
-class Conv3x3:
+class Conv3x3(Linear):
     """Valid 3x3 convolution on single-channel 8x8 inputs via im2col.
 
     Inputs arrive flattened to (batch, 64).  The patch matrix has one
-    row per output position, so the product with the (channels, 9)
-    kernel matrix reuses the exact matmul reduction kernels.  Output is
-    flattened to (batch, 6*6*channels) with position-major layout.
+    row per output position, so the convolution is a ``Linear`` layer
+    from 9 patch pixels to ``channels`` applied to every patch.  Output
+    is flattened to (batch, 6*6*channels) with position-major layout.
     """
 
-    trainable = True
-
     def __init__(self, name: str, channels: int, rng, dtype) -> None:
-        self.name = name
+        super().__init__(name, 9, channels, rng, dtype)
         self.channels = channels
-        std = 1.0 / 3.0
-        self.W = (rng.standard_normal((channels, 9)) * std).astype(dtype)
-        self.b = np.zeros(channels, dtype=dtype)
-        self.vW = np.zeros_like(self.W)
-        self.vb = np.zeros_like(self.b)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._cols: np.ndarray | None = None
 
     @staticmethod
     def _im2col(imgs: np.ndarray) -> np.ndarray:
@@ -435,25 +437,15 @@ class Conv3x3:
 
     def forward(self, x: np.ndarray, env: StepEnv) -> np.ndarray:
         b = x.shape[0]
-        cols = self._im2col(x.reshape(b, 8, 8))
-        self._cols = cols
-        wq = env.quantize(self.W, f"{self.name}.weight", Phase.WEIGHT)
-        bq = env.quantize(self.b, f"{self.name}.bias", Phase.WEIGHT, log=False)
-        z = env.matmul(cols, wq.T)
-        s = z + bq[None, :]
-        sq = env.quantize(s, f"{self.name}.act", Phase.FORWARD_ACTIVATION)
-        return sq.reshape(b, 36 * self.channels)
+        s = self._affine(self._im2col(x.reshape(b, 8, 8)), env)
+        return s.reshape(b, 36 * self.channels)
 
     def backward(self, dy: np.ndarray, env: StepEnv, need_dx: bool) -> np.ndarray | None:
-        dyq = env.quantize(dy, f"{self.name}.dact", Phase.ACTIVATION_GRADIENT)
-        dz = dyq.reshape(-1, self.channels)
-        self.dW = env.matmul_wide(dz.T, self._cols)
-        self.db = _ordered_sum_rows(dz)
         if need_dx:
             raise NotImplementedError(
                 "input gradient for the conv stem is unused by the bundled tasks"
             )
-        return None
+        return self._affine_backward(dy.reshape(-1, self.channels), env, need_dx)
 
 
 class ReLU:
@@ -614,9 +606,7 @@ def softmax_ce_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     m = logits.max(axis=1, keepdims=True)
     shifted = (logits - m).astype(np.float64)
     e = _det_exp(shifted)
-    s = e[:, 0].copy()
-    for j in range(1, c):
-        s = s + e[:, j]
+    s = _ordered_sum_rows(e.T)
     log_s = _det_log(s)
     rows = np.arange(b)
     terms = (log_s - shifted[rows, labels]).astype(logits.dtype)
@@ -674,14 +664,7 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     model = build_model(cfg, data)
     batch_rng = np.random.default_rng([cfg.seed, 2])
     sink = TelemetrySink(run_id=cfg.run_id())
-    scaler = LossScaler(
-        init_scale=cfg.init_scale,
-        growth_interval=cfg.growth_interval,
-        growth_factor=cfg.growth_factor,
-        backoff_factor=cfg.backoff_factor,
-        min_scale=cfg.min_scale,
-        max_scale=cfg.max_scale,
-    ) if cfg.dls else None
+    scaler = cfg.loss_scaler() if cfg.dls else None
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
     n = len(data.inputs)

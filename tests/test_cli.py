@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -68,6 +69,20 @@ def test_format_info(capsys):
     assert "0x1.0000000000000p-24" in out   # min denormal
     assert "65504" in out
     assert main(["format-info", "1/9/6/d"]) == 1
+    capsys.readouterr()
+    assert main(["format-info", "1/8/7/n"]) == 0
+    assert capsys.readouterr().out == (
+        "format 1/8/7/n\n"
+        "  denormals           flush-to-zero\n"
+        "  width_bits          16\n"
+        "  bias                127\n"
+        "  e_min               -126\n"
+        "  e_max               127\n"
+        "  min_denormal        none\n"
+        "  min_normal          1.1754943508222875e-38 (0x1.0000000000000p-126)\n"
+        "  max_finite          3.3895313892515355e+38 (0x1.fe00000000000p+127)\n"
+        "  overflow_threshold  3.39617752923046e+38 (0x1.ff00000000000p+127)\n"
+    )
 
 
 def test_round_command(capsys):
@@ -159,6 +174,9 @@ def test_train_rejects_bad_set():
     ["divergence_patience=0"],
     ["chunk=0"],
     ["converged_loss=1", "degraded_loss=0.1"],
+    ["dls=on", "init_scale=3"],
+    ["dls=on", "growth_interval=0"],
+    ["seed=-1"],
 ], ids=" ".join)
 def test_train_rejects_bad_settings_before_training(monkeypatch, capsys, sets):
     def unreachable(*args):
@@ -180,10 +198,18 @@ def test_train_batch_larger_than_dataset(capsys):
 
 def test_refused_train_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "runs"
-    assert main(["train", "--out", str(out), "--task", "regression",
-                 "--set", "batch_size=1000"]) == 1
-    assert capsys.readouterr().err == "fpemu: error: batch_size exceeds dataset size\n"
-    assert not out.exists()
+    for sets, message in [
+        (["batch_size=1000"], "batch_size exceeds dataset size"),
+        (["dls=on", "init_scale=3"], "init_scale must be a positive power of two, got 3.0"),
+        (["dls=on", "growth_interval=0"], "growth_interval must be positive"),
+        (["seed=-1"], "seed must be non-negative"),
+    ]:
+        argv = ["train", "--out", str(out), "--task", "regression"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"fpemu: error: {message}\n"
+        assert not out.exists()
 
 
 def test_report(tmp_path, capsys):
@@ -262,6 +288,9 @@ def test_usage_errors_and_help(capsys):
 
 # ── fuzzing ────────────────────────────────────────────────────────────
 
+# config keys by the type of their TrainConfig default
+_KEYS_OF = {t: {f.name for f in dataclasses.fields(training.TrainConfig)
+                if type(f.default) is t} for t in (int, float)}
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _FORMATS = st.one_of(
     st.sampled_from(["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/2/1/d", "1/8/23/d"]),
@@ -276,11 +305,11 @@ _TYPED = {  # values of the right type for each config key, bad ones included
     "mode": st.sampled_from(["mac", "macs", "fmac", "fmacs", "fmac8", "FMAC", "x"]),
     "dls": st.sampled_from(["on", "off", "yes", "maybe"]),
     "dtype": st.sampled_from(["float32", "float64", "float16"]),
-    **{key: st.integers(-2, 40).map(str) for key in sorted(training._INT_KEYS)},
+    **{key: st.integers(-2, 40).map(str) for key in sorted(_KEYS_OF[int])},
     **{key: st.one_of(st.sampled_from(["0", "0.5", "1", "2", "0.1", "1e9", "1e-30", "nan",
                                        "inf", "-1", "65536", "2^-10"]),
                       st.floats().map(repr))
-       for key in sorted(training._FLOAT_KEYS)},
+       for key in sorted(_KEYS_OF[float])},
 }
 _SETTING = st.sampled_from(sorted(_TYPED)).flatmap(
     lambda key: _TYPED[key].map(lambda value: f"{key}={value}"))

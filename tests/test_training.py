@@ -8,7 +8,7 @@ from fpemu.formats import FpFormat
 from fpemu.instructions import AccumMode
 from fpemu.rounding import roundfp, roundfp_array
 from fpemu.tasks import TASK_NAMES, TASK_SIZES, build_task_data
-from fpemu.telemetry import Phase, TelemetrySink
+from fpemu.telemetry import DenormalStats, Phase, RunSummary, TelemetrySink
 from fpemu.training import (
     Linear,
     LossScaler,
@@ -84,6 +84,48 @@ def test_config_text_round_trip():
     assert back == cfg
 
 
+def test_artifact_text_forms_are_pinned(tmp_path):
+    """Literal config.txt, summary.json and telemetry.csv bytes: a writer
+    and reader changed in step would still pass the round-trip tests."""
+    cfg = resolve_config({"task": "mlp_classify", "format": "1/6/9/n", "mode": "mac",
+                          "dls": "on", "init_scale": "1024", "lr": "0.1", "seed": "7",
+                          "chunk": "4"})
+    assert cfg.to_text() == (
+        "task=mlp_classify\nformat=1/6/9/n\nmode=mac\nchunk=4\ndls=on\n"
+        "init_scale=1024.0\ngrowth_interval=2000\ngrowth_factor=2.0\n"
+        "backoff_factor=0.5\nmin_scale=1.0\nmax_scale=16777216.0\nsteps=500\n"
+        "batch_size=32\nlr=0.1\nmomentum=0.9\nseed=7\ntelemetry_interval=1\n"
+        "divergence_patience=20\nconverged_loss=0.05\ndegraded_loss=0.5\n"
+        "dtype=float32\n"
+    )
+    assert TrainConfig().to_text().startswith(
+        "task=regression\nformat=none\nmode=fmacs\nchunk=8\ndls=off\n")
+
+    summary = RunSummary("r1", "1/5/10/d", True, "fmacs", {"w": 0.25, "a": 0.0}, 0.25, 3,
+                         final_loss=0.125, outcome="degraded")
+    assert summary.to_json() == (
+        '{\n  "accum_mode": "fmacs",\n  "dls": true,\n  "final_loss": 0.125,\n'
+        '  "format": "1/5/10/d",\n  "global_max_denormal_fraction": 0.25,\n'
+        '  "n_records": 3,\n  "outcome": "degraded",\n'
+        '  "per_tensor_max_denormal_fraction": {\n    "a": 0.0,\n    "w": 0.25\n  },\n'
+        '  "run_id": "r1"\n}\n'
+    )
+
+    sink = TelemetrySink(run_id="r1")
+    for values, tensor_id, phase, step in [
+        ([2.0**-24, 0.0, 1.0], "fc0.weight", Phase.WEIGHT, 0),
+        ([np.nan, np.inf, -2.0**-20], "fc0.dact", Phase.ACTIVATION_GRADIENT, 3),
+    ]:
+        sink.record(DenormalStats.from_array(np.array(values, np.float32), HALF,
+                                             tensor_id=tensor_id, phase=phase, step=step))
+    sink.write_csv(tmp_path / "telemetry.csv")
+    assert (tmp_path / "telemetry.csv").read_bytes() == (
+        b"run_id,tensor_id,phase,step,n_zero,n_denormal,n_normal,n_inf,n_nan,fraction\r\n"
+        b"r1,fc0.weight,weight,0,1,1,1,0,0,0.3333333333333333\r\n"
+        b"r1,fc0.dact,activation_gradient,3,0,1,0,1,1,0.3333333333333333\r\n"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(task="regression", dtype="float16")
@@ -91,6 +133,12 @@ def test_config_validation():
         TrainConfig(task="regression", fmt=HALF, dtype="float64")
     with pytest.raises(ValueError):
         TrainConfig(task="regression", steps=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        TrainConfig(task="regression", seed=-1)
+    with pytest.raises(ValueError, match="^init_scale must be a positive power of two"):
+        TrainConfig(task="regression", dls=True, init_scale=3.0)
+    # the scale schedule is only checked when loss scaling is on
+    TrainConfig(task="regression", dls=False, init_scale=3.0, growth_interval=0)
 
 
 @pytest.mark.parametrize("task", TASK_NAMES)
