@@ -96,7 +96,7 @@ def _float_str(x: float) -> str:
 # subcommands
 
 
-# (printed label, FpFormat.constants() key) of each format-info line
+# (printed label, FpFormat attribute) of each format-info line
 _FORMAT_INFO_ROWS = [
     ("width_bits", "width"),
     ("bias", "bias"),
@@ -114,11 +114,10 @@ def _cmd_format_info(args: argparse.Namespace) -> int:
         fmt = _parse_format(spec)
         if i:
             print()
-        consts = fmt.constants()
-        print(f"format {consts.pop('format')}")
+        print(f"format {fmt}")
         print(f"  denormals           {'enabled' if fmt.denormals else 'flush-to-zero'}")
-        for label, key in _FORMAT_INFO_ROWS:
-            value = consts[key]
+        for label, attr in _FORMAT_INFO_ROWS:
+            value = getattr(fmt, attr)
             if value is None:
                 text = "none"
             elif isinstance(value, int):

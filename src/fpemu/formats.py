@@ -154,21 +154,6 @@ class FpFormat:
         # format's quantum.  scaled <= 2^24 here, so the float test is exact.
         return scaled == int(scaled)
 
-    def constants(self) -> dict[str, object]:
-        """Key format constants, for reports and the CLI."""
-        out: dict[str, object] = {
-            "format": str(self),
-            "width": self.width,
-            "e_min": self.e_min,
-            "e_max": self.e_max,
-            "bias": self.bias,
-            "min_normal": self.min_normal,
-            "max_finite": self.max_finite,
-            "overflow_threshold": self.overflow_threshold,
-        }
-        out["min_denormal"] = self.min_denormal
-        return out
-
 
 BINARY32 = FpFormat(exp_bits=8, mant_bits=23, denormals=True)
 

@@ -22,37 +22,38 @@ steps (FMAC8).  It consumes the exact products, binary64 values of at
 most 48 significand bits, a block of steps at a time, and never calls the
 rounding kernel per step.
 
-Where a step is not a single float32 add, one checked-block driver runs
-it: a cheap step over every lane of the block, then one check of the
-whole block for the lanes where the cheap step can be wrong, then an
-exact redo of those lanes in the first step that has any, and the steps
-after it again.  The exact redo is a TwoSum round-to-odd add followed by
-one round-to-nearest, which for 24 or fewer significand bits is one
-correct rounding (53 >= 24 + 2; Boldo and Melquiond, IEEE TC 2008).
+Every step rounds into an accumulator format: binary32 for MACS and
+FMACS, the format itself for MAC, FMAC and FMAC8.  MACS and FMACS blocks
+whose products are all binary32 numbers are one sequential float32
+``np.add.accumulate`` with the running sum (starting at +0) as the first
+row: a float32 add of a binary32 product is already the one rounding.
+MACS products always are; so are FMACS products of 1/5/10 and 1/6/9
+values and most of 1/8/7.
 
-MACS and FMACS blocks whose products are all binary32 numbers are one
-sequential float32 ``np.add.accumulate`` with the running sum (starting
-at +0) as the first row: a float32 add of a binary32 product is already
-the one rounding.  MACS products always are; so are FMACS products of
-1/5/10 and 1/6/9 values and most of 1/8/7.  Other FMACS blocks (binary32
-operands, or 1/8/7 products below 2^-149) step with a binary64 add cast
-to float32, which can double round only where the add was inexact and
-its sum sits on a binary32 tie or below 2^-126.
+Every other step is a cheap one, a binary64 add and a rounding of the
+sum into the accumulator format, run by one checked-block driver.  In
+binary32 (binary32 operands, or 1/8/7 products below 2^-149) the
+rounding is a float32 cast.  At format width it is the rounding kernel's
+magic-constant rounding ``(s + M) - M`` with ``M = 1.5 * 2^(E-p+52)``
+for the sum's exponent E (at least e_min), built by the same helper as
+the kernel's ``M`` (:func:`rounding._magic`) but without its clamp at
+e_max + 1, which sums below 2^(2 * e_max + 3) never need; then the sum's
+sign for zeros and, in /n formats, a flush to signed zero.
 
-MAC, FMAC and FMAC8 step with a binary64 add and the rounding kernel's
-magic-constant rounding into the format: ``(s + M) - M`` with
-``M = 1.5 * 2^(E-p+52)`` for the sum's exponent E (at least e_min), built
-by the same helper as the kernel's ``M`` (:func:`rounding._magic`) but
-without its clamp at e_max + 1, which sums below 2^(2 * e_max + 3) never
-need; then the sum's sign for zeros and, in /n formats, a flush to
-signed zero.  RNE is monotone and the format's midpoints are binary64
-numbers, so this differs from rounding the exact sum only where the add
-was inexact and its sum is a midpoint of the gradual-underflow grid; it
-also leaves a sum above ``max_finite`` finite.  The check looks for
-both.  FMAC8's accumulator restarts every ``chunk`` steps, so the chunks
-of a block run side by side as lanes of one ``chunk``-step reduction,
-and are drained into the master only after the block has passed its
-check.  All paths are tested against the rational oracle.
+One rule covers both widths.  RNE is monotone and the accumulator
+format's midpoints are binary64 numbers, so a cheap step differs from
+rounding the exact sum only where the add was inexact and its sum is a
+midpoint of the gradual-underflow grid; the magic-constant step also
+leaves a sum above ``max_finite`` finite.  After a block, one check
+looks for both, and the flagged lanes of the first step that has any are
+redone exactly, and the steps after it again.  The exact redo is a
+TwoSum round-to-odd add followed by one round-to-nearest, which for 24
+or fewer significand bits is one correct rounding (53 >= 24 + 2; Boldo
+and Melquiond, IEEE TC 2008).  FMAC8's accumulator restarts every
+``chunk`` steps, so the chunks of a block run side by side as lanes of
+one ``chunk``-step reduction, and are drained into the master only after
+the block has passed its check.  All paths are tested against the
+rational oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import _ABS, _EXP, _grid, _magic, _on_grid, roundfp_array
+from .rounding import _EXP, _grid, _magic, _on_grid, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -208,19 +209,10 @@ def _add_round_to_odd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fused_step_array(acc: np.ndarray, prod: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """round(acc + prod, fmt) elementwise, exactly once.  Both float64;
-    ``prod`` is an exact product (at most 48 significand bits)."""
+    """round(acc + prod, fmt) elementwise, exactly once, as float64.
+    ``acc`` is float64 or float32; ``prod`` is a float64 exact product (at
+    most 48 significand bits)."""
     return roundfp_array(_add_round_to_odd(acc, prod), fmt).astype(np.float64)
-
-
-def _coerce_matrix(m, fmt: FpFormat, name: str) -> np.ndarray:
-    """Validate a matmul operand and hand back float64 data."""
-    a = np.asarray(m, dtype=np.float64)
-    ok = _on_grid(a, fmt)
-    if not ok.all():
-        i = tuple(np.argwhere(~ok)[0])
-        raise ValueError(f"{name}{list(i)} = {a[i]!r} is not representable in {fmt}")
-    return a
 
 
 # Products are formed a K-block at a time as a (kb, m, n) tensor of at
@@ -230,9 +222,6 @@ _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
 
 _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
-_B32_DROPPED = np.uint64((1 << 29) - 1)  # binary64 significand bits below binary32's
-_B32_TIE = np.uint64(1 << 28)
-_B32_TINY = np.uint64(0x3810000000000000 - 1)  # bits of 2^-126, less one
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray):
@@ -246,105 +235,27 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
 
 
-def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, suspects, redo) -> None:
-    """rows[i + 1] = round(rows[i] + prods[i]) over one block of steps.
+def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, acc_fmt: FpFormat) -> None:
+    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of steps.
 
-    ``step(acc, prod, out)`` is a cheap step that is right in every lane
-    but those ``suspects(rows, prods)`` flags afterwards, over the whole
-    block at once.  The suspect lanes of the first step that has any are
-    redone exactly with ``redo(acc, prod)``, and the steps after it are
-    run again.
+    ``step(acc, prod, out)`` rounds the binary64 sum s = acc + prod into
+    ``acc_fmt``.  RNE is monotone and ``acc_fmt``'s midpoints are binary64
+    numbers, so this can differ from rounding the exact sum only where the
+    add was inexact and s is a midpoint of ``acc_fmt``'s gradual-underflow
+    grid; and the format-width step, which never overflows, may leave a
+    value above ``max_finite`` finite.  One check of the whole block flags
+    both.  The flagged lanes of the first step that has any are redone
+    exactly with :func:`_fused_step_array`, and the steps after it are run
+    again.
     """
+    g = _grid(acc_fmt)
     start = 0
     while start < len(prods):
         for i in range(start, len(prods)):
             step(rows[i], prods[i], rows[i + 1])
-        bad = suspects(rows[start:], prods[start:])
-        if not bad.any():
-            return
-        i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-        lanes = bad[i]
-        i += start
-        rows[i + 1][lanes] = redo(rows[i][lanes], prods[i][lanes])
-        start = i + 1
-
-
-def _may_double_round32(s: np.ndarray) -> np.ndarray:
-    """Lanes where, if s is an inexact binary64 sum, casting it to float32
-    may differ from rounding the exact sum once: binary32 ties, and nonzero
-    magnitudes below 2^-126, where binary32's grid is coarser."""
-    bits = s.view(np.uint64)
-    tie = (bits & _B32_DROPPED) == _B32_TIE
-    mag = bits & _ABS
-    mag -= np.uint64(1)  # zero wraps to the top, out of the tiny band
-    return tie | (mag < _B32_TINY)
-
-
-def _fmacs_rows(rows: np.ndarray, prods: np.ndarray) -> None:
-    """FMACS steps over one block: rows[i + 1] = round32(rows[i] + prods[i]).
-
-    ``rows`` is float32 with the running sum in row 0; ``prods`` holds
-    exact products.  If every product is a binary32 number (MACS's
-    rounded float32 products always are), a float32 add of it is already
-    the one rounding, and the block is one sequential
-    ``np.add.accumulate``.  Otherwise each step is a binary64 add cast to
-    float32, which can round twice only where the add was inexact and
-    its sum may double round (:func:`_may_double_round32`); such lanes
-    are redone with a round-to-odd add.
-    """
-    p32 = prods.astype(np.float32, copy=False)
-    if p32 is prods or (p32 == prods).all():
-        rows[1:] = p32
-        np.add.accumulate(rows, axis=0, out=rows)
-        return
-
-    def step(acc, prod, out):
-        np.add(acc, prod, out=out, casting="unsafe")
-
-    def suspects(rows, prods):
-        s, err = _two_sum(rows[:-1].astype(np.float64), prods)
-        return (err != 0) & _may_double_round32(s)
-
-    def redo(acc, prod):
-        return _add_round_to_odd(acc.astype(np.float64), prod)
-
-    _checked_steps(rows, prods, step, suspects, redo)
-
-
-def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
-    """Format-width fused steps over one block: rows[i + 1] =
-    round(rows[i] + prods[i], fmt), float64 with the accumulator in row 0.
-
-    Each step rounds the binary64 sum s as (s + M) - M, where the magic
-    constant M = 1.5 * 2^(E - p + 52) from :func:`rounding._magic` puts
-    the format's quantum at s's exponent E (at least e_min) into M's last
-    place.  For inf and NaN, M wraps into a tiny negative value that
-    leaves the lane as it is.  The step then gives zeros the sign of s
-    and, for /n formats, flushes a denormal to signed zero.
-
-    RNE is monotone and ``fmt``'s midpoints are binary64 numbers, so this
-    can differ from rounding the exact sum only where the add was inexact
-    and s is a midpoint of ``fmt``'s gradual-underflow grid; and it
-    leaves a value above ``max_finite`` finite.  Such lanes are redone
-    with :func:`_fused_step_array`.
-    """
-    # M needs no clamp: |s| < 2^(2 * e_max + 3), and M of inf and NaN is harmless.
-    g = _grid(fmt)
-    max_finite = fmt.max_finite
-    flush_below = None if fmt.denormals else fmt.min_normal
-
-    def step(acc, prod, out):
-        np.add(acc, prod, out=out)
-        m = _magic(out, g, clamp=False).view(np.float64)
-        r = out + m
-        r -= m
-        np.copysign(r, out, out=out)
-        if flush_below is not None:
-            out *= np.abs(out) >= flush_below
-
-    def suspects(rows, prods):
-        acc = rows[:-1]
-        s = acc + prods
+        acc, p = rows[start:-1], prods[start:]
+        # s's distance to its nearest grid point, against half the quantum
+        s = acc + p
         m = _magic(s, g, clamp=False)
         mf = m.view(np.float64)
         d = s + mf
@@ -354,15 +265,62 @@ def _fmac_rows(rows: np.ndarray, prods: np.ndarray, fmt: FpFormat) -> None:
         m -= _HALF_QUANTUM  # now half the quantum
         bad = np.abs(d, out=d) == mf  # on a midpoint
         if bad.any():
-            bad[bad] = _two_sum(acc[bad], prods[bad])[1] != 0
-        mag = np.abs(rows[1:])
-        bad |= (mag > max_finite) & (mag < np.inf)
-        return bad
+            bad[bad] = _two_sum(acc[bad], p[bad])[1] != 0
+        mag = np.abs(rows[start + 1:])
+        bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        lanes = bad[i]
+        i += start
+        rows[i + 1][lanes] = _fused_step_array(rows[i][lanes], prods[i][lanes], acc_fmt)
+        start = i + 1
 
-    def redo(acc, prod):
-        return _fused_step_array(acc, prod, fmt)
 
-    _checked_steps(rows, prods, step, suspects, redo)
+def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None:
+    """Accumulate one block of steps: rows[i + 1] = round(rows[i] + prods[i],
+    acc_fmt), with the running sum in row 0 and exact products in ``prods``.
+
+    float32 ``rows`` hold a binary32 accumulator (``acc_fmt`` is BINARY32).
+    If every product is a binary32 number (MACS's rounded float32 products
+    always are), a float32 add of it is already the one rounding, and the
+    block is one sequential ``np.add.accumulate``.  Otherwise each step is
+    a binary64 add cast to float32.
+
+    float64 ``rows`` hold a format-width accumulator.  Each step rounds the
+    binary64 sum s as (s + M) - M, where the magic constant
+    M = 1.5 * 2^(E - p + 52) from :func:`rounding._magic` puts the format's
+    quantum at s's exponent E (at least e_min) into M's last place.  For inf
+    and NaN, M wraps into a tiny negative value that leaves the lane as it
+    is.  The step then gives zeros the sign of s and, for /n formats,
+    flushes a denormal to signed zero.
+
+    Both cheap steps are checked and redone by :func:`_checked_steps`.
+    """
+    if rows.dtype == np.float32:
+        p32 = prods.astype(np.float32, copy=False)
+        if p32 is prods or (p32 == prods).all():
+            rows[1:] = p32
+            np.add.accumulate(rows, axis=0, out=rows)
+            return
+
+        def step(acc, prod, out):
+            np.add(acc, prod, out=out, casting="unsafe")
+    else:
+        # M needs no clamp: |s| < 2^(2 * e_max + 3), and M of inf and NaN is harmless.
+        g = _grid(acc_fmt)
+        flush_below = None if acc_fmt.denormals else acc_fmt.min_normal
+
+        def step(acc, prod, out):
+            np.add(acc, prod, out=out)
+            m = _magic(out, g, clamp=False).view(np.float64)
+            r = out + m
+            r -= m
+            np.copysign(r, out, out=out)
+            if flush_below is not None:
+                out *= np.abs(out) >= flush_below
+
+    _checked_steps(rows, prods.astype(np.float64, copy=False), step, acc_fmt)
 
 
 class _Schedule(NamedTuple):
@@ -404,7 +362,7 @@ def _fmac8_block(acc: np.ndarray, master: np.ndarray, prods: np.ndarray,
     rows = np.zeros((chunk + 1, segs, *acc.shape))
     if lead:
         rows[0, 0] = acc
-    _fmac_rows(rows, padded.reshape(segs, chunk, *acc.shape).swapaxes(0, 1), fmt)
+    _reduce_rows(rows, padded.reshape(segs, chunk, *acc.shape).swapaxes(0, 1), fmt)
     drained = rows[-1, :-1]
     if not lead:  # the chunk in progress ended with the last block
         drained = np.concatenate([acc[None], drained])
@@ -437,10 +395,7 @@ def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chun
                 continue
             rows = np.empty((len(prods) + 1, *shape), dtype=acc.dtype)
             rows[0] = acc
-            if s.wide:
-                _fmacs_rows(rows, prods)
-            else:
-                _fmac_rows(rows, prods.astype(np.float64, copy=False), fmt)
+            _reduce_rows(rows, prods, BINARY32 if s.wide else fmt)
             acc = rows[-1]
         out = acc.astype(np.float32)
         if s.drains:
@@ -454,11 +409,18 @@ def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.
     mode = AccumMode.parse(mode)
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    fa = _coerce_matrix(a, fmt, "a")
-    fb = _coerce_matrix(b, fmt, "b")
+    fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    for name, x in (("a", fa), ("b", fb)):
+        if x.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D matrix, got shape {x.shape}")
     (m, k), (k2, n) = fa.shape, fb.shape
     if k != k2:
         raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
+    for name, x in (("a", fa), ("b", fb)):
+        ok = _on_grid(x, fmt)
+        if not ok.all():
+            i = tuple(np.argwhere(~ok)[0])
+            raise ValueError(f"{name}{list(i)} = {x[i]!r} is not representable in {fmt}")
     return _reduce(_product_blocks(fa, fb), (m, n), fmt, mode, chunk)
 
 

@@ -34,7 +34,6 @@ class TaskData:
     kind: str                  # "regression" or "classify"
     inputs: np.ndarray         # (n, features) float32
     targets: np.ndarray        # regression: (n, out) float32; classify: (n,) int64
-    n_classes: int             # 0 for regression
     layout: tuple[int, ...]    # layer widths, conv handled by name
 
 
@@ -48,7 +47,7 @@ def _regression_data(rng: np.random.Generator) -> TaskData:
     # high enough that format rounding noise is a sub-percent effect on
     # the converged loss.
     y = (x @ w_true) * np.float32(2.0**-6) + noise * np.float32(2.0**-6)
-    return TaskData("regression", "regression", x, y.astype(np.float32), 0, (16, 1))
+    return TaskData("regression", "regression", x, y.astype(np.float32), (16, 1))
 
 
 def _blobs_data(rng: np.random.Generator) -> TaskData:
@@ -62,7 +61,7 @@ def _blobs_data(rng: np.random.Generator) -> TaskData:
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0)
     perm = rng.permutation(len(x))
-    return TaskData("mlp_classify", "classify", x[perm], y[perm], c, (8, 24, 3))
+    return TaskData("mlp_classify", "classify", x[perm], y[perm], (8, 24, 3))
 
 
 def _images_data(rng: np.random.Generator) -> TaskData:
@@ -83,7 +82,7 @@ def _images_data(rng: np.random.Generator) -> TaskData:
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0)
     perm = rng.permutation(len(x))
-    return TaskData("cnn_classify", "classify", x[perm], y[perm], c, (64, 3, 4))
+    return TaskData("cnn_classify", "classify", x[perm], y[perm], (64, 3, 4))
 
 
 def build_task_data(name: str, seed: int) -> TaskData:

@@ -26,9 +26,8 @@ from fpemu.cli import main as cli_main
 from fpemu.formats import BINARY32, FpFormat, decode16_array
 from fpemu.instructions import (
     AccumMode,
-    _fmac_rows,
-    _fmacs_rows,
     _reduce,
+    _reduce_rows,
     fmac,
     fmac8_dot,
     fmacs,
@@ -421,9 +420,9 @@ def test_c05_instruction_oracle_agreement():
         with np.errstate(invalid="ignore", over="ignore"):
             prods = xs.astype(np.float64) * ys.astype(np.float64)
             rows_f = np.stack([accs.astype(np.float64), np.empty(n)])
-            _fmac_rows(rows_f, prods[None], fmt)
+            _reduce_rows(rows_f, prods[None], fmt)
             rows = np.stack([a32, np.empty(n, dtype=np.float32)])
-            _fmacs_rows(rows, prods[None])
+            _reduce_rows(rows, prods[None], BINARY32)
         got_f = rows_f[1]
         got_fs = rows[1]
 
@@ -470,7 +469,7 @@ def test_c05_instruction_oracle_agreement():
     # binary64 sum land on a binary32 tie; these triples do it on purpose:
     # x*y = +-2^(E-24) (1 - 2^-2m) is just off half an ulp of
     # a32 = (1+f) 2^E, so the binary64 add is inexact and may round onto
-    # the tie, which only _fmacs_rows's round-to-odd fix-up gets right.
+    # the tie, which only _reduce_rows's round-to-odd fix-up gets right.
     rng = np.random.default_rng(5059)
     n32 = 20_000
     e = rng.integers(-80, 81, n32)
@@ -481,7 +480,7 @@ def test_c05_instruction_oracle_agreement():
     xs = 2.0**i * (1.0 + 2.0**-m)
     ys = rng.choice([-1.0, 1.0], n32) * 2.0 ** (e - 24 - i) * (1.0 - 2.0**-m)
     rows = np.stack([a32, np.empty(n32, dtype=np.float32)])
-    _fmacs_rows(rows, (xs * ys)[None])
+    _reduce_rows(rows, (xs * ys)[None], BINARY32)
     want32 = np.array([fmacs(float(aw), x, y, BINARY32)
                        for aw, x, y in zip(a32, xs.tolist(), ys.tolist())], dtype=np.float32)
     mismatches += int((~_bits_match(rows[1], want32)).sum())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,30 @@ def test_fmacs_binary32_denormal_tie_is_not_double_rounded():
     assert float(got[0, 0]) == _oracle_chain(a[0], b[:, 0], BINARY32, AccumMode.FMACS, 8)[0]
 
 
+def test_fmacs_binary32_overflow_midpoint_is_not_double_rounded():
+    # x*y = 2^103 - 2^60 exactly (4188889 * 2099863 = 2^43 - 1).  Added to
+    # +-max_f32 = +-(2^128 - 2^104), the exact sum lies 2^60 short of the
+    # overflow midpoint 2^128 - 2^103.  binary64 drops the 2^60 and lands on
+    # it, where a float32 cast ties to even, infinity; one correct rounding
+    # stays at max_f32.
+    big = BINARY32.max_finite
+    x, y = 4188889 * 2.0**30, 2099863 * 2.0**30
+    for sign in (1.0, -1.0):
+        a = np.array([[sign * big, x]])
+        b = np.array([[1.0], [sign * y]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float32(a[0, 0] + x * sign * y))
+        got = matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)
+        assert float(got[0, 0]) == sign * big
+        assert fmacs_oracle(sign * big, x, sign * y, BINARY32) == sign * big
+        _check_lanes(a, b, BINARY32, AccumMode.FMACS, 8, [(0, 0)])
+    # Just above the midpoint: x*y = 2^103 + 2^80, exact in binary64, overflows.
+    a = np.array([[big, (2**23 + 1) * 2.0**40]])
+    b = np.array([[1.0], [2.0**40]])
+    assert float(matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)[0, 0]) == math.inf
+    _check_lanes(a, b, BINARY32, AccumMode.FMACS, 8, [(0, 0)])
+
+
 def test_fmacs_blocks_mix_exact_and_inexact_products():
     # A 1x600 by 600x2 product runs in three blocks of at most 256 steps.
     # Blocks 0 and 2 hold binary32-exact products only and are summed in
@@ -538,6 +563,12 @@ def test_matmul_rejects_nonformat_input():
         matmul(good, good, HALF, chunk=0)
     with pytest.raises(ValueError):
         matmul(np.ones((2, 3), dtype=np.float32), np.ones((2, 3), dtype=np.float32), HALF)
+    # operands that are not matrices are refused by name and shape
+    for a, b, name, shape in (([1.0, 2.0], [[1.0], [2.0]], "a", "(2,)"),
+                              (good, np.ones((2, 2, 1)), "b", "(2, 2, 1)"),
+                              (1.0, good, "a", "()")):
+        with pytest.raises(ValueError, match=rf"^{name} must be a 2-D matrix, got shape {re.escape(shape)}$"):
+            matmul(a, b, HALF)
 
 
 def test_accum_mode_parse():
