@@ -1,9 +1,22 @@
 """Exact dyadic arithmetic for the scalar instruction paths.
 
-Finite floats are taken apart into integer pairs (M, k) meaning M * 2^k,
-multiplied and added with Python's arbitrary-precision integers, and
-rounded back in one step.  No intermediate float arithmetic, so there is
-no double rounding to reason about.
+A finite float is taken apart once, by ``float.as_integer_ratio``, into
+an exact integer pair (M, k) meaning M * 2^k (:func:`to_mk`).  Products
+are ``Mx * My`` at ``kx + ky``; sums align the smaller exponent by a
+shift and add Python's arbitrary-precision integers.  One integer
+primitive, :func:`round_int`, rounds an exact M * 2^k into a format and
+returns another pair (N, q); :func:`round_mk` is the same rounding with
+the result turned into a float.  No intermediate float arithmetic, so
+there is no double rounding to reason about.
+
+NaN and the infinities have no pair.  :func:`add_round` and
+:func:`fused_add_round` take floats and apply the IEEE special rules
+before they go to integers; a caller that keeps its values as pairs
+(``instructions.fmac8_dot``) hands a step to them once an operand or an
+accumulator is not finite.
+
+This module is a reference for the numpy kernels and shares no code with
+them: it imports neither ``rounding`` nor numpy.
 """
 
 from __future__ import annotations
@@ -14,46 +27,53 @@ from .formats import FpFormat
 
 
 def to_mk(x: float) -> tuple[int, int]:
-    """Exact decomposition of a finite float: x == M * 2^k."""
-    if x == 0.0:
-        return 0, 0
-    m, e = math.frexp(x)
-    return int(m * 9007199254740992.0), e - 53  # m * 2^53 is integral
+    """Exact decomposition of a finite float: x == M * 2^k.
+
+    M is odd unless x is an integer (then k == 0) or zero (then M == 0).
+    """
+    m, d = x.as_integer_ratio()  # d is 2^-k
+    return m, 1 - d.bit_length()
+
+
+def round_int(m: int, k: int, fmt: FpFormat) -> tuple[int, int | None]:
+    """Round the exact value m * 2^k into ``fmt`` (round-to-nearest-even).
+
+    Returns (n, q), the result n * 2^q with n of m's sign; n == 0 for a
+    result of zero (an underflow, or a flush in /n formats).  q is None
+    if the result overflows to an infinity of m's sign.  A value already
+    in ``fmt`` comes back as (m, k).
+
+    No step needs m's sign: ``bit_length`` ignores it, and with ``>>``
+    rounding down, the tie-to-even rule below holds for negative m too.
+    """
+    e = m.bit_length() - 1 + k  # exponent of the leading bit
+    q = (e if e > fmt.e_min else fmt.e_min) - fmt.mant_bits  # the quantum there
+    if q > k:
+        t = q - k
+        n = (m + (1 << (t - 1)) - 1 + ((m >> t) & 1)) >> t  # ties to even
+        e = n.bit_length() - 1 + q  # a carry can raise it by one
+    else:
+        n, q = m, k
+    if e > fmt.e_max:
+        return m, None
+    if not fmt.denormals and e < fmt.e_min:
+        return 0, q
+    return n, q
 
 
 def round_mk(m: int, k: int, fmt: FpFormat) -> float:
-    """Round the exact value M * 2^k into ``fmt`` (round-to-nearest-even).
+    """:func:`round_int` as a float: m * 2^k rounded into ``fmt``.
 
-    M == 0 gives +0; :func:`add_round` picks the sign of a zero sum.
+    m == 0 gives +0; :func:`add_round` picks the sign of a zero sum.
     """
     if m == 0:
         return 0.0
-    sign = -1.0 if m < 0 else 1.0
-    a = abs(m)
-    e_val = a.bit_length() - 1 + k
-    if e_val > fmt.e_max:
-        return sign * math.inf
-
-    q_exp = max(e_val, fmt.e_min) - fmt.mant_bits
-    t = q_exp - k
-    if t <= 0:
-        n = a << (-t)
-    else:
-        floor = a >> t
-        rem = a & ((1 << t) - 1)
-        half = 1 << (t - 1)
-        if rem > half or (rem == half and floor & 1):
-            n = floor + 1
-        else:
-            n = floor
+    n, q = round_int(m, k, fmt)
+    if q is None:
+        return math.inf if m > 0 else -math.inf
     if n == 0:
-        return sign * 0.0
-    mag = math.ldexp(float(n), q_exp)  # n <= 2^(p+1), so exact
-    if mag > fmt.max_finite:
-        return sign * math.inf
-    if not fmt.denormals and mag < fmt.min_normal:
-        return sign * 0.0
-    return sign * mag
+        return -0.0 if m < 0 else 0.0
+    return math.ldexp(n, q)  # n has at most p + 1 significant bits, so exact
 
 
 def _zero_sign(a: float, b: float) -> bool:

@@ -86,6 +86,13 @@ def _parse_format(spec: str) -> FpFormat:
         raise _CliError(str(exc)) from None
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Bitwise equality, sign of zero included, with all NaNs equal."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _float_str(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return repr(x)
@@ -176,7 +183,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     xq = [roundfp(v, fmt).value.surrogate for v in x]
     got = fmac8_dot(wq, xq, fmt, chunk=args.chunk)
     want = dot_oracle(wq, xq, fmt, chunk=args.chunk)
-    match = (got == want) or (math.isnan(got) and math.isnan(want))
+    match = _same_float(got, want)
     print(f"n={len(wq)} chunk={args.chunk} format={fmt}")
     print(f"fmac8_dot: {_float_str(got)}")
     print(f"oracle:    {_float_str(want)}")
@@ -311,7 +318,7 @@ def _cmd_self_test(args: argparse.Namespace) -> int:
     xs2 = [roundfp(v, half).value.surrogate for v in rng.standard_normal(64)]
     got = fmac8_dot(ws, xs2, half)
     want = dot_oracle(ws, xs2, half)
-    check("fmac8_dot agrees with the exact oracle on a random vector", got == want)
+    check("fmac8_dot agrees with the exact oracle on a random vector", _same_float(got, want))
 
     got_f = fmac(2.0**-24, 1.0, 2.0**-24, half)
     want_f = fmac_oracle(2.0**-24, 1.0, 2.0**-24, half)

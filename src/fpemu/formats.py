@@ -43,6 +43,8 @@ class FpClass(enum.Enum):
     NAN = "nan"
 
 
+_INF = math.inf
+
 _FMT_RE = re.compile(r"^1/(\d+)/(\d+)/(d|n)$")
 
 
@@ -133,26 +135,32 @@ class FpFormat:
 
         NaN counts as representable (there is a canonical NaN datum);
         denormal magnitudes count only when the format has denormals.
+        Any real number with ``as_integer_ratio`` is accepted: Python
+        ints and numpy float scalars are tested exactly, like floats.
         """
-        if math.isnan(value):
+        if not -_INF < value < _INF:  # NaN and the infinities
             return True
-        if math.isinf(value):
-            return True
-        if value == 0.0:
-            return True
-        mant, exp = math.frexp(abs(value))  # abs(value) = mant * 2**exp, mant in [0.5, 1)
-        e_val = exp - 1
-        if e_val > self.e_max:
+        m, d = value.as_integer_ratio()
+        if d & (d - 1):  # not a dyadic rational
             return False
-        if e_val >= self.e_min:
-            scaled = abs(value) * math.ldexp(1.0, self.mant_bits - e_val)
-        else:
+        return self.contains_mk(m, 1 - d.bit_length())
+
+    def contains_mk(self, m: int, k: int) -> bool:
+        """True if the finite value m * 2^k is exactly representable: its
+        leading bit lies in the exponent range, and it is a multiple of
+        the format's quantum there.  (Neither test needs m's sign: -m has
+        the bit length and the trailing zeros of m.)"""
+        if not m:
+            return True
+        e = m.bit_length() - 1 + k  # exponent of the leading bit
+        if e > self.e_max:
+            return False
+        if e < self.e_min:
             if not self.denormals:
                 return False
-            scaled = abs(value) * math.ldexp(1.0, self.mant_bits - self.e_min)
-        # Exactly representable iff the significand is an integer at the
-        # format's quantum.  scaled <= 2^24 here, so the float test is exact.
-        return scaled == int(scaled)
+            e = self.e_min
+        t = e - self.mant_bits - k  # the quantum is 2^(k + t)
+        return t <= 0 or not m & ((1 << t) - 1)
 
 
 BINARY32 = FpFormat(exp_bits=8, mant_bits=23, denormals=True)

@@ -13,14 +13,27 @@ accumulator drained into a binary32 master every ``chunk`` elements) and
 a ``matmul`` that reduces every output element with one of these
 schedules in ascending index order.
 
-Scalar calls go through exact integer arithmetic.  The tensor paths reach
-the same bit-exact results differently.  One reduction serves all five
-modes, driven by a per-mode table of three flags: round the products into
-the format first (MAC, MACS), accumulate in binary32 (MACS, FMACS), and
-drain a format-width accumulator into a binary32 master every ``chunk``
-steps (FMAC8).  It consumes the exact products, binary64 values of at
-most 48 significand bits, a block of steps at a time, and never calls the
-rounding kernel per step.
+Scalar calls go through the exact integer arithmetic of ``_dyadic``: a
+finite value is taken apart by ``float.as_integer_ratio`` into a pair
+(M, k) meaning M * 2^k, and one integer primitive,
+``_dyadic.round_int``, rounds every exact sum into a format as another
+pair.  The four instructions hand their floats to ``add_round`` and
+``fused_add_round``, which take them apart per call.  ``fmac8_dot``
+checks and takes apart each operand once, testing membership on the
+pair with ``FpFormat.contains_mk`` (the test behind ``contains``), and
+runs its finite steps on pairs: the product ``Mw * Mx`` at ``kw + kx``,
+shifted into line with the accumulator, added and rounded.  Its result
+becomes a float only at the end.  A step that meets NaN or an infinity,
+in an operand or in an accumulator that overflowed, leaves the pairs for
+``fused_add_round`` or ``add_round``.
+
+The tensor paths reach the same bit-exact results differently.  One
+reduction serves all five modes, driven by a per-mode table of three
+flags: round the products into the format first (MAC, MACS), accumulate
+in binary32 (MACS, FMACS), and drain a format-width accumulator into a
+binary32 master every ``chunk`` steps (FMAC8).  It consumes the exact
+products, binary64 values of at most 48 significand bits, a block of
+steps at a time, and never calls the rounding kernel per step.
 
 Every step rounds into an accumulator format: binary32 for MACS and
 FMACS, the format itself for MAC, FMAC and FMAC8.  MACS and FMACS blocks
@@ -59,6 +72,7 @@ rational oracle.
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -143,14 +157,45 @@ def fmacs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     return _dyadic.fused_add_round(a32, x, y, BINARY32)
 
 
+def _split(values: list[float], fmt: FpFormat, name: str) -> list:
+    """Each value as its exact pair (M, k) meaning M * 2^k, or None for NaN
+    and the infinities; raises for the first value that is not in ``fmt``."""
+    out = []
+    contains_mk = fmt.contains_mk
+    for i, v in enumerate(values):
+        if -math.inf < v < math.inf:
+            m, d = v.as_integer_ratio()  # as _dyadic.to_mk, without the call
+            k = 1 - d.bit_length()
+            if not contains_mk(m, k):
+                raise ValueError(f"{name}[{i}]={v!r} is not representable in {fmt}")
+            out.append((m, k))
+        else:
+            out.append(None)
+    return out
+
+
 def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
     """Chunked fused dot product, the sum-of-products a dot unit built
     from FMAC instructions would produce.
 
-    A format-width fused accumulator handles each product; every
-    ``chunk`` steps (checked before the step, so i = 0 harmlessly drains
-    a zero) it is added into a binary32 master accumulator and cleared.
-    After a final drain the master is rounded back to ``fmt``.
+    A format-width fused accumulator handles each product; after every
+    ``chunk`` steps, and after the last step, it is added into a binary32
+    master accumulator and cleared.  The master is then rounded back to
+    ``fmt``.
+
+    All of ``w`` is checked before ``x``.  Finite steps and drains run on
+    exact pairs (see the module docstring); a step with a NaN or infinite
+    operand or accumulator goes through :func:`_dyadic.fused_add_round`,
+    a drain with a non-finite side through :func:`_dyadic.add_round`, and
+    their results are never finite.
+
+    Signs of zero are not tracked in the pairs.  The master starts at +0
+    and every nonzero sum of binary32 values is at least 2^-149 in
+    magnitude, so its binary32 rounding is never zero and the master
+    never holds -0.  A zero accumulator therefore drains as a no-op
+    whatever its sign, and a zero product leaves the accumulator's value
+    as it is.  Only the final rounding can give -0, from a negative
+    master that underflows in ``fmt``.
     """
     w = list(map(float, w))
     x = list(map(float, x))
@@ -158,19 +203,55 @@ def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
         raise ValueError(f"length mismatch: {len(w)} vs {len(x)}")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    for i, v in enumerate(w):
-        _check_operand(v, fmt, f"w[{i}]")
-    for i, v in enumerate(x):
-        _check_operand(v, fmt, f"x[{i}]")
-    master = 0.0
-    acc = 0.0
-    for i in range(len(w)):
-        if i % chunk == 0:
+    prods = [None if a is None or b is None else (a[0] * b[0], a[1] + b[1])
+             for a, b in zip(_split(w, fmt, "w"), _split(x, fmt, "x"))]
+    round_int = _dyadic.round_int
+    mm = mk = 0  # the master is mm * 2^mk, or the float `master` once it is not finite
+    master = None
+    for c0 in range(0, len(prods), chunk):
+        am = ak = 0  # likewise the accumulator and `acc`
+        acc = None
+        for i in range(c0, min(c0 + chunk, len(prods))):
+            p = prods[i]
+            if acc is None and p is not None:
+                pm, pk = p
+                if not pm:
+                    continue
+                if am:
+                    if ak < pk:
+                        pm, pk = am + (pm << (pk - ak)), ak
+                    else:
+                        pm += am << (ak - pk)
+                    if not pm:
+                        am = 0
+                        continue
+                am, ak = round_int(pm, pk, fmt)
+                if ak is None:
+                    acc = math.inf if pm > 0 else -math.inf
+            else:
+                if acc is None:
+                    acc = math.ldexp(am, ak)
+                acc = _dyadic.fused_add_round(acc, w[i], x[i], fmt)
+        if master is None and acc is None:
+            if not mm:
+                mm, mk = am, ak  # acc is a format value, hence a binary32 one
+            elif am:
+                if mk < ak:
+                    sm, sk = mm + (am << (ak - mk)), mk
+                else:
+                    sm, sk = am + (mm << (mk - ak)), ak
+                mm, mk = round_int(sm, sk, BINARY32) if sm else (0, 0)
+                if mk is None:
+                    master = math.inf if sm > 0 else -math.inf
+        else:
+            if master is None:
+                master = math.ldexp(mm, mk)
+            if acc is None:
+                acc = math.ldexp(am, ak)
             master = _dyadic.add_round(master, acc, BINARY32)
-            acc = 0.0
-        acc = _dyadic.fused_add_round(acc, w[i], x[i], fmt)
-    master = _dyadic.add_round(master, acc, BINARY32)
-    return _dyadic.add_round(-0.0, master, fmt)  # -0.0 keeps a zero's sign
+    if master is None:
+        return _dyadic.round_mk(mm, mk, fmt)
+    return _dyadic.add_round(-0.0, master, fmt)
 
 
 # ── vectorized kernels ─────────────────────────────────────────────────

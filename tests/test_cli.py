@@ -106,6 +106,29 @@ def test_dot_golden_file(capsys):
     assert "0x1.0800000000000p-18" in out
 
 
+def _negative_zero_dot(tmp_path):
+    # 2^-14 drains into the master first; the master then reads -2^-15,
+    # which 1/5/10/n flushes to -0 in the final rounding
+    path = tmp_path / "negzero.txt"
+    path.write_text("2^-14 -0x1.8p-14\n1 1\n")
+    return ["dot", "1/5/10/n", str(path), "--chunk", "1"]
+
+
+def test_dot_matches_a_negative_zero(tmp_path, capsys):
+    assert main(_negative_zero_dot(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert "fmac8_dot: -0.0 (-0x0.0p+0)" in out
+    assert "oracle:    -0.0 (-0x0.0p+0)" in out
+    assert out.endswith("MATCH\n") and "MISMATCH" not in out
+
+
+def test_dot_reports_a_zero_of_the_wrong_sign(tmp_path, capsys, monkeypatch):
+    # +0 == -0, so only a comparison of the bits catches this
+    monkeypatch.setattr("fpemu.cli.fmac8_dot", lambda *args, **kwargs: 0.0)
+    assert main(_negative_zero_dot(tmp_path)) == 1
+    assert capsys.readouterr().out.endswith("MISMATCH\n")
+
+
 def test_dot_missing_file():
     assert main(["dot", "1/5/10/d", str(DATA / "nope.txt")]) == 1
 

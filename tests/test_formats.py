@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,18 @@ def test_contains_boundaries():
     # one ulp below min_normal is the largest denormal
     assert HALF.contains(2.0**-14 - 2.0**-24)
     assert not HALF_N.contains(2.0**-14 - 2.0**-24)
+    # Python ints are tested exactly and never overflow a float
+    assert not HALF.contains(4098)  # the quantum at 2^12 is 4
+    assert HALF.contains(4100)
+    assert HALF.contains(-65504) and HALF.contains(0)
+    assert not HALF.contains(10**400)
+    # numpy scalars are tested at their own value
+    assert HALF.contains(np.float16(0.1))
+    assert not HALF.contains(np.float32(0.1))
+    assert HALF.contains(np.float32(2.0**-24)) and not HALF_N.contains(np.float32(2.0**-24))
+    assert HALF.contains(np.float32("nan")) and HALF.contains(np.float16("-inf"))
+    # a ratio whose denominator is not a power of two is never a member
+    assert HALF.contains(Fraction(3, 4)) and not HALF.contains(Fraction(1, 3))
 
 
 def test_contains_respects_mantissa_width():

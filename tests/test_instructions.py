@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ def test_operand_validation():
     with pytest.raises(ValueError):
         fmacs(1.0 + 2.0**-40, 1.0, 1.0, HALF)  # accumulator not binary32
     fmacs(1.0 + 2.0**-23, 1.0, 1.0, HALF)      # binary32 value is fine
+
+
+def test_huge_int_operand_is_refused_like_any_other():
+    with pytest.raises(ValueError, match=r"^a=1000.*0 is not representable in 1/5/10/d$"):
+        mac(10**400, 1.0, 1.0, HALF)
 
 
 def test_special_value_propagation():
@@ -199,7 +205,118 @@ def test_dot_oracle_agreement_random():
         x = roundfp_array(rng.standard_normal(n).astype(np.float32), fmt)
         got = fmac8_dot(w, x, fmt)
         want = dot_oracle(w.tolist(), x.tolist(), fmt)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert _same_bits(got, want), (got, want)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Bitwise binary64 equality, zero signs included, with all NaNs equal."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Formats whose members include integers with trailing zeros (every
+# value from 8 up in 1/3/2/d, from 16 up in 1/4/3/n, from 2^11 up in
+# 1/5/10/d), binary32 itself and bfloat16.
+DOT_CORPUS_FORMATS = ("1/3/2/d", "1/4/3/n", "1/5/10/d", "1/5/10/n", "1/8/23/d", "1/8/7/n")
+
+
+def _dot_corpus(fmt, rng):
+    """(w, x, chunk) pairs for :func:`test_fmac8_dot_matches_oracle_by_bits`."""
+    big = fmt.max_finite
+
+    def values(n, lo, hi):
+        e = rng.integers(lo, hi, n).astype(np.float64)
+        return roundfp_array(rng.standard_normal(n) * 2.0**e, fmt).tolist()
+
+    def integers(n, top):
+        return roundfp_array(rng.integers(-top, top + 1, n).astype(np.float64), fmt).tolist()
+
+    pairs = []
+    for chunk in (1, 3, 8, 1024):
+        for _ in range(12):  # anywhere in the range, the denormal band included
+            n = int(rng.integers(0, 40))
+            pairs.append((values(n, fmt.e_min - fmt.mant_bits, fmt.e_max // 2),
+                          values(n, fmt.e_min - fmt.mant_bits, fmt.e_max // 2), chunk))
+        for _ in range(6):  # integers, many with trailing zeros
+            n = int(rng.integers(1, 40))
+            top = min(int(big), 1 << 14)
+            pairs.append((integers(n, top), integers(n, 4), chunk))
+        for e in (1, 2):  # integers near 2^(p+e), where the quantum grows to 2^e
+            n = int(rng.integers(1, 40))
+            at = 1 << (fmt.mant_bits + e)
+            near = at + rng.integers(-at // 4, at // 4 + 1, n)
+            w = roundfp_array(np.minimum(near, big).astype(np.float64), fmt)
+            pairs.append((w.tolist(), integers(n, 2), chunk))
+        for _ in range(6):  # partial sums cancelling around min_normal
+            n = int(rng.integers(2, 20))
+            mid = fmt.e_min // 2
+            pairs.append((values(n, mid - fmt.mant_bits // 2 - 2, mid + 2),
+                          values(n, mid - fmt.mant_bits // 2 - 2, mid + 2), chunk))
+        for k, first in ((2, big), (3, -big)):  # an overflow mid-chunk, then an opposing one
+            n = int(rng.integers(2 * k, 2 * k + 10))
+            w = values(n, 0, fmt.e_max // 2)
+            at = int(rng.integers(0, n - 2 * k + 1))
+            w[at:at + 2 * k] = [first] * k + [-first] * k
+            pairs.append((w, [1.0] * n, chunk))
+    # NaN and the infinities at each position of a chunk, in w or in x,
+    # against a finite, zero or infinite partner
+    for chunk in (1, 3, 8):
+        for at in range(chunk):
+            for special in (math.nan, math.inf, -math.inf):
+                for partner in (1.5, -0.0, math.inf):
+                    n = 3 * chunk
+                    w = values(n, 0, 3)
+                    x = values(n, 0, 3)
+                    (w, x)[at % 2][chunk + at] = special
+                    (x, w)[at % 2][chunk + at] = partner
+                    pairs.append((w, x, chunk))
+    # long vectors: several chunks of 1024
+    for n in (1025, 2100):
+        pairs.append((values(n, fmt.e_min - 2, fmt.e_max // 2),
+                      values(n, fmt.e_min - 2, fmt.e_max // 2), 1024))
+    # a negative master that the final rounding flushes or rounds to -0
+    tiny = fmt.min_normal
+    pairs.append(([tiny, -1.5 * tiny], [1.0, 1.0], 1))
+    pairs.append(([2.0 * tiny, -2.5 * tiny], [1.0, 1.0], 1))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", DOT_CORPUS_FORMATS)
+def test_fmac8_dot_matches_oracle_by_bits(spec):
+    fmt = FpFormat.parse(spec)
+    rng = np.random.default_rng(1010)
+    pairs = _dot_corpus(fmt, rng)
+    results = []
+    for w, x, chunk in pairs:
+        got = fmac8_dot(w, x, fmt, chunk=chunk)
+        want = dot_oracle(w, x, fmt, chunk=chunk)
+        assert _same_bits(got, want), (w, x, chunk, got, want)
+        results.append(got)
+    # the corpus reaches what it is meant to reach
+    assert any(math.isnan(r) for r in results) and any(math.isinf(r) for r in results)
+    if not fmt.denormals:
+        assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in results)
+
+
+def test_fmac8_dot_names_the_first_bad_operand():
+    bad_w = [1.0, 2.0, 1.0 + 2.0**-11, 4098.0, 1.0]
+    bad_x = [2.0**-25, 1.0, 65536.0, 1.0, 1.0]
+    ok = [1.0] * 5
+
+    def message(w, x, fmt):
+        with pytest.raises(ValueError) as info:
+            fmac8_dot(w, x, fmt)
+        return str(info.value)
+
+    # all of w is checked before x
+    assert message(bad_w, bad_x, HALF) == "w[2]=1.00048828125 is not representable in 1/5/10/d"
+    assert message(ok, bad_x, HALF) == "x[0]=2.9802322387695312e-08 is not representable in 1/5/10/d"
+    assert message([4100.0, 4098.0], ok[:2], HALF) == "w[1]=4098.0 is not representable in 1/5/10/d"
+    assert message(ok[:2], [math.nan, 2.0**-24], HALF_N) == (
+        "x[1]=5.960464477539063e-08 is not representable in 1/5/10/n")
+    assert message([math.inf, -math.inf, 70000.0], ok[:3], HALF) == (
+        "w[2]=70000.0 is not representable in 1/5/10/d")
 
 
 # ── instruction/oracle sweeps ──────────────────────────────────────────
