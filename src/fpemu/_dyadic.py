@@ -7,13 +7,13 @@ shift and add Python's arbitrary-precision integers.  One integer
 primitive, :func:`round_int`, rounds an exact M * 2^k into a format and
 returns another pair (N, q); :func:`round_mk` is the same rounding with
 the result turned into a float.  No intermediate float arithmetic, so
-there is no double rounding to reason about.
+there is no double rounding to reason about.  The scalar instructions
+and ``fmac8_dot`` run their finite steps on such pairs.
 
-NaN and the infinities have no pair.  :func:`add_round` and
-:func:`fused_add_round` take floats and apply the IEEE special rules
-before they go to integers; a caller that keeps its values as pairs
-(``instructions.fmac8_dot``) hands a step to them once an operand or an
-accumulator is not finite.
+NaN and the infinities have no pair, and a pair drops a zero's sign.
+A sum with a NaN or infinite side, or of two zeros, is binary64's own
+(:func:`special_sum`).  :func:`add_round`, :func:`mul_exact` and
+:func:`fused_add_round` are the same arithmetic on floats.
 
 This module is a reference for the numpy kernels and shares no code with
 them: it imports neither ``rounding`` nor numpy.
@@ -64,7 +64,7 @@ def round_int(m: int, k: int, fmt: FpFormat) -> tuple[int, int | None]:
 def round_mk(m: int, k: int, fmt: FpFormat) -> float:
     """:func:`round_int` as a float: m * 2^k rounded into ``fmt``.
 
-    m == 0 gives +0; :func:`add_round` picks the sign of a zero sum.
+    m == 0 gives +0; callers pick the sign of a zero sum.
     """
     if m == 0:
         return 0.0
@@ -76,59 +76,43 @@ def round_mk(m: int, k: int, fmt: FpFormat) -> float:
     return math.ldexp(n, q)  # n has at most p + 1 significant bits, so exact
 
 
-def _zero_sign(a: float, b: float) -> bool:
-    """Sign choice for an exact-zero sum: negative only for (-0) + (-0)."""
-    if a == 0.0 and b == 0.0:
-        return math.copysign(1.0, a) < 0 and math.copysign(1.0, b) < 0
-    return False
+def special_sum(a: float, b: float) -> float:
+    """a + b where a or b is NaN or an infinity, or both are zeros.
+
+    Binary64 follows IEEE's rules for these (NaN propagates, inf + -inf
+    is NaN, an infinity absorbs everything else, (-0) + (-0) is the one
+    zero sum that is -0) and no rounding changes such a result, so its
+    sum is the answer in every format.  Operands go through ``float``
+    first, so numpy scalars raise no warning; NaN comes back as
+    ``math.nan``.
+    """
+    s = float(a) + float(b)
+    return s if s == s else math.nan
 
 
 def add_round(a: float, b: float, fmt: FpFormat) -> float:
-    """Single rounding of the exact sum a + b into ``fmt``.
-
-    Handles the IEEE specials: NaN propagates (canonically), same-signed
-    infinities stay, inf + -inf is NaN.
-    """
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    if math.isinf(a) or math.isinf(b):
-        if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-            return math.nan
-        return a if math.isinf(a) else b
+    """Single rounding of the exact sum a + b into ``fmt``."""
+    if not (-math.inf < a < math.inf and -math.inf < b < math.inf and (a or b)):
+        return special_sum(a, b)
     ma, ka = to_mk(a)
     mb, kb = to_mk(b)
-    if ma == 0 and mb == 0:
-        return -0.0 if _zero_sign(a, b) else 0.0
-    if ma == 0:
-        ms, ks = mb, kb
-    elif mb == 0:
-        ms, ks = ma, ka
-    else:
-        ks = min(ka, kb)
-        ms = (ma << (ka - ks)) + (mb << (kb - ks))
-    return round_mk(ms, ks, fmt)
+    ks = min(ka, kb)
+    return round_mk((ma << (ka - ks)) + (mb << (kb - ks)), ks, fmt)
 
 
 def mul_exact(x: float, y: float) -> tuple[float | None, float]:
     """Exact product of two format values.
 
-    Returns (special, value): ``special`` is NaN or +-inf when IEEE special
-    arithmetic applies, else None and ``value`` is the exact finite product
-    (at most 48 significand bits, so binary64 multiplication is exact).
+    Returns (special, value): ``special`` is NaN or +-inf when an operand
+    is, else None and ``value`` is the exact finite product (at most 48
+    significand bits, so binary64 multiplication is exact).
     """
-    if math.isnan(x) or math.isnan(y):
-        return math.nan, 0.0
-    if math.isinf(x) or math.isinf(y):
-        if x == 0.0 or y == 0.0:
-            return math.nan, 0.0
-        neg = (math.copysign(1.0, x) < 0) != (math.copysign(1.0, y) < 0)
-        return (-math.inf if neg else math.inf), 0.0
-    return None, x * y
+    p = float(x) * float(y)
+    if -math.inf < p < math.inf:
+        return None, p
+    return special_sum(p, 0.0), 0.0
 
 
 def fused_add_round(a: float, x: float, y: float, fmt: FpFormat) -> float:
     """Single rounding of the exact a + x*y into ``fmt``."""
-    special, prod = mul_exact(x, y)
-    if special is not None:
-        return add_round(a, special, fmt)
-    return add_round(a, prod, fmt)
+    return add_round(a, float(x) * float(y), fmt)

@@ -189,7 +189,12 @@ class FpValue:
 
 def classify(value: float, fmt: FpFormat) -> FpClass:
     """Classify a representable value. Zero is not denormal; the denormal
-    band is the open interval (0, 2^e_min) in magnitude."""
+    band is the open interval (0, 2^e_min) in magnitude.  An int beyond
+    binary64's range is in no format, and raises ValueError."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is not representable in {fmt}") from None
     if math.isnan(value):
         return FpClass.NAN
     if math.isinf(value):

@@ -13,19 +13,17 @@ accumulator drained into a binary32 master every ``chunk`` elements) and
 a ``matmul`` that reduces every output element with one of these
 schedules in ascending index order.
 
-Scalar calls go through the exact integer arithmetic of ``_dyadic``: a
-finite value is taken apart by ``float.as_integer_ratio`` into a pair
-(M, k) meaning M * 2^k, and one integer primitive,
-``_dyadic.round_int``, rounds every exact sum into a format as another
-pair.  The four instructions hand their floats to ``add_round`` and
-``fused_add_round``, which take them apart per call.  ``fmac8_dot``
-checks and takes apart each operand once, testing membership on the
-pair with ``FpFormat.contains_mk`` (the test behind ``contains``), and
-runs its finite steps on pairs: the product ``Mw * Mx`` at ``kw + kx``,
-shifted into line with the accumulator, added and rounded.  Its result
-becomes a float only at the end.  A step that meets NaN or an infinity,
-in an operand or in an accumulator that overflowed, leaves the pairs for
-``fused_add_round`` or ``add_round``.
+Scalar calls go through the exact integer arithmetic of ``_dyadic``.
+Each operand is checked and taken apart once by ``as_integer_ratio``
+into a pair (M, k) meaning M * 2^k, tested with ``FpFormat.contains_mk``
+(the test behind ``contains``).  The product ``Mx * My`` at ``kx + ky``
+is shifted into line with the accumulator, added, and rounded by one
+integer primitive, ``_dyadic.round_int``.  The four instructions are one
+step that reads where to round from ``_SCHEDULES``, the per-mode table
+that also drives the tensor reduction below; ``fmac8_dot`` runs the same
+steps in its own loop.  A step that meets NaN or an infinity (an
+operand, or a product or accumulator rounded to an infinity) is
+binary64's own sum, ``_dyadic.special_sum``, which no rounding changes.
 
 The tensor paths reach the same bit-exact results differently.  One
 reduction serves all five modes, driven by a per-mode table of three
@@ -113,9 +111,21 @@ class AccumMode(enum.Enum):
             ) from None
 
 
-def _check_operand(v: float, fmt: FpFormat, name: str) -> None:
-    if not fmt.contains(v):
-        raise ValueError(f"{name}={v!r} is not representable in {fmt}")
+class _Schedule(NamedTuple):
+    """Where an accumulate mode rounds."""
+
+    round_products: bool  # round each product into fmt before adding it
+    wide: bool            # accumulate in binary32 instead of in fmt
+    drains: bool          # drain the fmt accumulator into a binary32 master every chunk steps
+
+
+_SCHEDULES = {
+    AccumMode.MAC: _Schedule(round_products=True, wide=False, drains=False),
+    AccumMode.MACS: _Schedule(round_products=True, wide=True, drains=False),
+    AccumMode.FMAC: _Schedule(round_products=False, wide=False, drains=False),
+    AccumMode.FMACS: _Schedule(round_products=False, wide=True, drains=False),
+    AccumMode.FMAC8: _Schedule(round_products=False, wide=False, drains=True),
+}
 
 
 # ── scalar instructions ────────────────────────────────────────────────
@@ -123,38 +133,56 @@ def _check_operand(v: float, fmt: FpFormat, name: str) -> None:
 
 def mac(a: float, x: float, y: float, fmt: FpFormat) -> float:
     """Unfused MAC at format width: round(a + round(x*y))."""
-    _check_operand(a, fmt, "a")
-    _check_operand(x, fmt, "x")
-    _check_operand(y, fmt, "y")
-    special, prod = _dyadic.mul_exact(x, y)
-    r1 = special if special is not None else _dyadic.add_round(-0.0, prod, fmt)
-    return _dyadic.add_round(a, r1, fmt)
+    return _step(AccumMode.MAC, a, x, y, fmt)
 
 
 def macs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     """Unfused MAC with a binary32 accumulator: round32(a32 + round(x*y))."""
-    _check_operand(a32, BINARY32, "a32")
-    _check_operand(x, fmt, "x")
-    _check_operand(y, fmt, "y")
-    special, prod = _dyadic.mul_exact(x, y)
-    r1 = special if special is not None else _dyadic.add_round(-0.0, prod, fmt)
-    return _dyadic.add_round(a32, r1, BINARY32)
+    return _step(AccumMode.MACS, a32, x, y, fmt)
 
 
 def fmac(a: float, x: float, y: float, fmt: FpFormat) -> float:
     """Fused MAC at format width: one rounding of the exact a + x*y."""
-    _check_operand(a, fmt, "a")
-    _check_operand(x, fmt, "x")
-    _check_operand(y, fmt, "y")
-    return _dyadic.fused_add_round(a, x, y, fmt)
+    return _step(AccumMode.FMAC, a, x, y, fmt)
 
 
 def fmacs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
     """Fused MAC with a binary32 accumulator: round32(a32 + x*y)."""
-    _check_operand(a32, BINARY32, "a32")
-    _check_operand(x, fmt, "x")
-    _check_operand(y, fmt, "y")
-    return _dyadic.fused_add_round(a32, x, y, BINARY32)
+    return _step(AccumMode.FMACS, a32, x, y, fmt)
+
+
+def _step(mode: AccumMode, a, x, y, fmt: FpFormat) -> float:
+    """a + x*y on exact pairs (see the module docstring), rounded where
+    ``mode``'s schedule says.  a, x and y are checked in that order, a
+    against the accumulator format."""
+    s = _SCHEDULES[mode]
+    acc_fmt = BINARY32 if s.wide else fmt
+    pairs = []
+    for v, f, name in ((a, acc_fmt, "a32" if s.wide else "a"), (x, fmt, "x"), (y, fmt, "y")):
+        if -math.inf < v < math.inf:
+            m, d = v.as_integer_ratio()  # as _split does
+            k = 1 - d.bit_length()
+            if d & (d - 1) or not f.contains_mk(m, k):
+                raise ValueError(f"{name}={v!r} is not representable in {f}")
+            pairs.append((m, k))
+        else:
+            pairs.append(None)
+    pa, px, py = pairs
+    if px is None or py is None:
+        return _dyadic.special_sum(a, float(x) * float(y))
+    pm, pk = px[0] * py[0], px[1] + py[1]
+    if s.round_products and pm:
+        pm, pk = _dyadic.round_int(pm, pk, fmt)
+        if pk is None:  # the rounded product is an infinity
+            return _dyadic.special_sum(a, math.inf if pm > 0 else -math.inf)
+    if pa is None:
+        return _dyadic.special_sum(a, 0.0)  # a finite product changes no NaN or infinity
+    am, ak = pa
+    if not (am or pm):  # two zeros; the product's sign is that of the exact x*y
+        return _dyadic.special_sum(a, math.copysign(0.0, float(x) * float(y)))
+    if ak < pk:
+        return _dyadic.round_mk(am + (pm << (pk - ak)), ak, acc_fmt)
+    return _dyadic.round_mk(pm + (am << (ak - pk)), pk, acc_fmt)
 
 
 def _split(values: list[float], fmt: FpFormat, name: str) -> list:
@@ -184,10 +212,9 @@ def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
     ``fmt``.
 
     All of ``w`` is checked before ``x``.  Finite steps and drains run on
-    exact pairs (see the module docstring); a step with a NaN or infinite
-    operand or accumulator goes through :func:`_dyadic.fused_add_round`,
-    a drain with a non-finite side through :func:`_dyadic.add_round`, and
-    their results are never finite.
+    exact pairs (see the module docstring); a step or drain with a NaN or
+    infinite side is a binary64 sum (:func:`_dyadic.special_sum`), and
+    its result is never finite.
 
     Signs of zero are not tracked in the pairs.  The master starts at +0
     and every nonzero sum of binary32 values is at least 2^-149 in
@@ -229,9 +256,7 @@ def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
                 if ak is None:
                     acc = math.inf if pm > 0 else -math.inf
             else:
-                if acc is None:
-                    acc = math.ldexp(am, ak)
-                acc = _dyadic.fused_add_round(acc, w[i], x[i], fmt)
+                acc = _dyadic.special_sum(math.ldexp(am, ak) if acc is None else acc, w[i] * x[i])
         if master is None and acc is None:
             if not mm:
                 mm, mk = am, ak  # acc is a format value, hence a binary32 one
@@ -244,14 +269,11 @@ def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
                 if mk is None:
                     master = math.inf if sm > 0 else -math.inf
         else:
-            if master is None:
-                master = math.ldexp(mm, mk)
-            if acc is None:
-                acc = math.ldexp(am, ak)
-            master = _dyadic.add_round(master, acc, BINARY32)
+            master = _dyadic.special_sum(math.ldexp(mm, mk) if master is None else master,
+                                         math.ldexp(am, ak) if acc is None else acc)
     if master is None:
         return _dyadic.round_mk(mm, mk, fmt)
-    return _dyadic.add_round(-0.0, master, fmt)
+    return master  # NaN or an infinity, which no rounding changes
 
 
 # ── vectorized kernels ─────────────────────────────────────────────────
@@ -402,23 +424,6 @@ def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None
                 out *= np.abs(out) >= flush_below
 
     _checked_steps(rows, prods.astype(np.float64, copy=False), step, acc_fmt)
-
-
-class _Schedule(NamedTuple):
-    """Where an accumulate mode rounds."""
-
-    round_products: bool  # round each product into fmt before adding it
-    wide: bool            # accumulate in binary32 instead of in fmt
-    drains: bool          # drain the fmt accumulator into a binary32 master every chunk steps
-
-
-_SCHEDULES = {
-    AccumMode.MAC: _Schedule(round_products=True, wide=False, drains=False),
-    AccumMode.MACS: _Schedule(round_products=True, wide=True, drains=False),
-    AccumMode.FMAC: _Schedule(round_products=False, wide=False, drains=False),
-    AccumMode.FMACS: _Schedule(round_products=False, wide=True, drains=False),
-    AccumMode.FMAC8: _Schedule(round_products=False, wide=False, drains=True),
-}
 
 
 def _fmac8_block(acc: np.ndarray, master: np.ndarray, prods: np.ndarray,

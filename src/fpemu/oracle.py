@@ -97,11 +97,10 @@ def round_exact(q: Fraction, fmt: FpFormat, negative: bool = False) -> OracleRou
 
 def round_float(x: float, fmt: FpFormat) -> float:
     """Round a float (binary32 surrogate or wider) into ``fmt``."""
-    if math.isnan(x):
-        return math.nan
-    if math.isinf(x):
-        return x
-    return round_exact(Fraction(abs(x)), fmt, negative=math.copysign(1.0, x) < 0).value
+    if not -math.inf < x < math.inf:  # NaN and the infinities
+        return x if x == x else math.nan
+    negative = x < 0 if x else math.copysign(1.0, x) < 0  # an int beyond binary64 has no copysign
+    return round_exact(Fraction(abs(x)), fmt, negative=negative).value
 
 
 # ── signed exact arithmetic with IEEE specials ─────────────────────────

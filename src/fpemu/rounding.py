@@ -175,19 +175,23 @@ def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
     set iff the value (and zero sign) survives unchanged; ROUNDED means
     the rounding step proper was inexact, independent of any flush.
     """
-    arr = np.array([x], dtype=np.float64)
+    try:
+        arr = np.array([x], dtype=np.float64)
+    except OverflowError:  # an int beyond binary64's range overflows every format
+        arr = np.array([math.inf if x > 0 else -math.inf])
     final = float(_round_core(arr, fmt)[0])
     # The value before any flush: the same rounding into the /d twin.
     pre = final if fmt.denormals else float(_round_core(arr, replace(fmt, denormals=True))[0])
 
+    finite = -math.inf < x < math.inf  # math.isfinite(x) raises for such an int
     flags = RoundFlag(0)
     if _same_value(final, x):
         flags |= RoundFlag.EXACT
     if not _same_value(pre, x):
         flags |= RoundFlag.ROUNDED
-    if math.isfinite(x) and x != 0.0 and pre == 0.0:
+    if finite and x != 0.0 and pre == 0.0:
         flags |= RoundFlag.UNDERFLOWED_TO_ZERO
-    if math.isfinite(x) and math.isinf(final):
+    if finite and math.isinf(final):
         flags |= RoundFlag.OVERFLOWED_TO_INF
     if pre != 0.0 and math.isfinite(pre) and abs(pre) < fmt.min_normal and final == 0.0:
         flags |= RoundFlag.FLUSHED_DENORMAL
@@ -195,8 +199,8 @@ def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
 
 
 def _same_value(a: float, b: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
+    if a != a or b != b:  # NaN
+        return a != a and b != b
     if a == 0.0 and b == 0.0:
         return math.copysign(1.0, a) == math.copysign(1.0, b)
     return a == b

@@ -134,6 +134,10 @@ def test_classify_examples():
     assert classify(float("nan"), HALF) is FpClass.NAN
     # same magnitude, different format, different class
     assert classify(2.0**-24, WIDE) is FpClass.NORMAL
+    # an int beyond binary64's range is in no format
+    for big in (10**400, -10**400):
+        with pytest.raises(ValueError, match=r"^-?1000*0 is not representable in 1/5/10/d$"):
+            classify(big, HALF)
 
 
 def test_classify_array_agrees_with_scalar():

@@ -1,12 +1,15 @@
+import ast
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpemu import _dyadic
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.instructions import (
     AccumMode,
@@ -101,6 +104,13 @@ def test_operand_validation():
 def test_huge_int_operand_is_refused_like_any_other():
     with pytest.raises(ValueError, match=r"^a=1000.*0 is not representable in 1/5/10/d$"):
         mac(10**400, 1.0, 1.0, HALF)
+    with pytest.raises(ValueError, match=r"^a32=-1000.*0 is not representable in 1/8/23/d$"):
+        fmacs(-10**400, 1.0, 1.0, HALF)
+    with pytest.raises(ValueError, match=r"^y=1000.*0 is not representable in 1/5/10/d$"):
+        macs(0.0, 1.0, 10**400, HALF)
+    # the oracle rounds such an int like any other value beyond the format
+    assert round_float(10**400, HALF) == math.inf
+    assert round_float(-10**400, HALF) == -math.inf
 
 
 def test_special_value_propagation():
@@ -322,30 +332,65 @@ def test_fmac8_dot_names_the_first_bad_operand():
 # ── instruction/oracle sweeps ──────────────────────────────────────────
 
 
+INSTRUCTION_ORACLES = ((mac, mac_oracle), (macs, macs_oracle), (fmac, fmac_oracle),
+                       (fmacs, fmacs_oracle))
+
+
+def _dyadic_reference(impl, acc, x, y, fmt):
+    """``impl`` in the float-level arithmetic of ``_dyadic``."""
+    acc_fmt = BINARY32 if impl in (macs, fmacs) else fmt
+    if impl in (fmac, fmacs):
+        return _dyadic.fused_add_round(acc, x, y, acc_fmt)
+    special, p = _dyadic.mul_exact(x, y)
+    r1 = special if special is not None else _dyadic.add_round(-0.0, p, fmt)
+    return _dyadic.add_round(acc, r1, acc_fmt)
+
+
+def _special_grid(fmt):
+    """Every triple over ±0, ±smallest positive, ±min_normal, ±1.5,
+    ±max_finite, ±inf and NaN: every pairing of a signed zero, an
+    underflowing or overflowing product and an infinite accumulator."""
+    base = (0.0, fmt.smallest_positive, fmt.min_normal, 1.5, fmt.max_finite, math.inf)
+    values = [s * v for v in base for s in (1.0, -1.0)] + [math.nan]
+    return [(a, x, y) for a in values for x in values for y in values]
+
+
 @pytest.mark.parametrize("fmt", (HALF, HALF_N, WIDE, WIDE_N, BF8), ids=str)
 def test_instructions_match_oracle(fmt):
     rng = np.random.default_rng(5)
-    pairs = (
-        (mac, mac_oracle),
-        (macs, macs_oracle),
-        (fmac, fmac_oracle),
-        (fmacs, fmacs_oracle),
-    )
+    triples = []
     for _ in range(250):
         e = int(rng.integers(-30, 20))
         x = q(float(rng.standard_normal()) * 2.0**e, fmt)
         y = q(float(rng.standard_normal()), fmt)
         a_fmt = q(float(rng.standard_normal()) * 2.0**e, fmt)
         a32 = float(np.float32(rng.standard_normal()))
-        for impl, ora in pairs:
-            acc = a32 if impl in (macs, fmacs) else a_fmt
-            got = impl(acc, x, y, fmt)
-            want = ora(acc, x, y, fmt)
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == want
-                assert math.copysign(1, got) == math.copysign(1, want)
+        triples += [(a_fmt, x, y, False), (a32, x, y, True)]
+    # every special triple, with the accumulator in both roles
+    triples += [t + (wide,) for t in _special_grid(fmt) for wide in (False, True)]
+    for acc, x, y, wide in triples:
+        for impl, ora in INSTRUCTION_ORACLES:
+            if (impl in (macs, fmacs)) == wide:
+                got, want = impl(acc, x, y, fmt), ora(acc, x, y, fmt)
+                assert _same_bits(got, want), (impl.__name__, acc, x, y, got, want)
+                ref = _dyadic_reference(impl, acc, x, y, fmt)
+                assert _same_bits(ref, want), (impl.__name__, acc, x, y, ref, want)
+    # one grid case: an infinite accumulator meets a finite product that
+    # rounds to the opposite infinity
+    assert math.isnan(mac(-math.inf, fmt.max_finite, fmt.max_finite, fmt))
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=lambda t: t.__name__)
+@pytest.mark.parametrize("fmt", (HALF, HALF_N, WIDE, WIDE_N, BF8), ids=str)
+def test_instructions_take_numpy_scalars_silently(fmt, dtype):
+    # the suite turns RuntimeWarning into an error; every result is a
+    # Python float with the bits of the float operands' result
+    assert math.isnan(fmac(np.float32(math.inf), np.float32(1), np.float32(-math.inf), fmt))
+    for a, x, y in _special_grid(fmt):
+        for impl, ora in INSTRUCTION_ORACLES:
+            got = impl(dtype(a), dtype(x), dtype(y), fmt)
+            assert type(got) is float and _same_bits(got, ora(a, x, y, fmt)), (
+                impl.__name__, a, x, y, got)
 
 
 @given(
@@ -368,6 +413,25 @@ def test_macs_equals_fmacs_when_product_is_exact(mx, ex, my, ey, a):
     if q(prod, HALF) != prod:
         return
     assert macs(acc, x, y, HALF) == fmacs(acc, x, y, HALF)
+
+
+def test_dyadic_shares_no_code_with_the_kernels():
+    # _dyadic checks the numpy kernels, so it may import neither numpy
+    # nor the modules that hold them
+    tree = ast.parse(Path(_dyadic.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # a relative import names one of fpemu's own modules
+                base = f"fpemu.{base}".rstrip(".")
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert "fpemu.formats" in imported  # the walk sees the relative import
+    bad = {m for m in imported
+           if m.split(".")[0] == "numpy" or m in ("fpemu.rounding", "fpemu.instructions")}
+    assert not bad
 
 
 # ── matrix reductions ──────────────────────────────────────────────────

@@ -73,6 +73,12 @@ def test_overflow_threshold_rounds_to_infinity():
     assert roundfp(thr, HALF).flags == RoundFlag.ROUNDED | RoundFlag.OVERFLOWED_TO_INF
     assert val(roundfp(-thr, HALF)) == -math.inf
     assert val(roundfp(math.nextafter(thr, 0.0), HALF)) == 65504.0
+    # ints beyond binary64's range, where float() and math.isfinite raise
+    for big in (10**400, -10**400):
+        out = roundfp(big, HALF)
+        assert val(out) == (math.inf if big > 0 else -math.inf)
+        assert out.flags == RoundFlag.ROUNDED | RoundFlag.OVERFLOWED_TO_INF
+        assert round_float(big, HALF) == val(out)
 
 
 def test_exact_value_and_signed_zero_passthrough():
