@@ -140,7 +140,7 @@ class FpFormat:
         """
         if not -_INF < value < _INF:  # NaN and the infinities
             return True
-        m, d = value.as_integer_ratio()
+        m, d = value.as_integer_ratio()  # instructions._pair repeats this test
         if d & (d - 1):  # not a dyadic rational
             return False
         return self.contains_mk(m, 1 - d.bit_length())

@@ -152,22 +152,12 @@ def fmacs(a32: float, x: float, y: float, fmt: FpFormat) -> float:
 
 
 def _step(mode: AccumMode, a, x, y, fmt: FpFormat) -> float:
-    """a + x*y on exact pairs (see the module docstring), rounded where
-    ``mode``'s schedule says.  a, x and y are checked in that order, a
-    against the accumulator format."""
+    """a + x*y on exact pairs, rounded where ``mode``'s schedule says;
+    a, x and y are checked in that order, a in the accumulator format."""
     s = _SCHEDULES[mode]
     acc_fmt = BINARY32 if s.wide else fmt
-    pairs = []
-    for v, f, name in ((a, acc_fmt, "a32" if s.wide else "a"), (x, fmt, "x"), (y, fmt, "y")):
-        if -math.inf < v < math.inf:
-            m, d = v.as_integer_ratio()  # as _split does
-            k = 1 - d.bit_length()
-            if d & (d - 1) or not f.contains_mk(m, k):
-                raise ValueError(f"{name}={v!r} is not representable in {f}")
-            pairs.append((m, k))
-        else:
-            pairs.append(None)
-    pa, px, py = pairs
+    pa = _pair(a, acc_fmt, "a32" if s.wide else "a")
+    px, py = _pair(x, fmt, "x"), _pair(y, fmt, "y")
     if px is None or py is None:
         return _dyadic.special_sum(a, float(x) * float(y))
     pm, pk = px[0] * py[0], px[1] + py[1]
@@ -185,14 +175,26 @@ def _step(mode: AccumMode, a, x, y, fmt: FpFormat) -> float:
     return _dyadic.round_mk(pm + (am << (ak - pk)), pk, acc_fmt)
 
 
+def _pair(v, fmt: FpFormat, name: str) -> "tuple[int, int] | None":
+    """v as its exact pair (M, k) meaning M * 2^k, or None for NaN and the
+    infinities; raises if v is not in ``fmt`` (``FpFormat.contains``'s test)."""
+    if not -math.inf < v < math.inf:
+        return None
+    m, d = v.as_integer_ratio()
+    k = 1 - d.bit_length()
+    if d & (d - 1) or not fmt.contains_mk(m, k):  # not dyadic, or not in fmt
+        raise ValueError(f"{name}={v!r} is not representable in {fmt}")
+    return m, k
+
+
 def _split(values: list[float], fmt: FpFormat, name: str) -> list:
-    """Each value as its exact pair (M, k) meaning M * 2^k, or None for NaN
-    and the infinities; raises for the first value that is not in ``fmt``."""
+    """:func:`_pair` of each float, inlined for ``fmac8_dot``'s loop and
+    without its dyadic test, which every float passes."""
     out = []
     contains_mk = fmt.contains_mk
     for i, v in enumerate(values):
         if -math.inf < v < math.inf:
-            m, d = v.as_integer_ratio()  # as _dyadic.to_mk, without the call
+            m, d = v.as_integer_ratio()
             k = 1 - d.bit_length()
             if not contains_mk(m, k):
                 raise ValueError(f"{name}[{i}]={v!r} is not representable in {fmt}")

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from fpemu._dyadic import add_round
+from fpemu._dyadic import round_mk, to_mk
 from fpemu.cli import main as cli_main
 from fpemu.formats import BINARY32, FpFormat, decode16_array
 from fpemu.instructions import (
@@ -61,9 +61,9 @@ def _bits_match(a, b) -> np.ndarray:
 
 
 def _dy_round(x: float, fmt: FpFormat) -> float:
-    """Scalar big-integer reference for rounding a finite value; adding
-    it to -0 keeps a zero's sign."""
-    return add_round(-0.0, x, fmt)
+    """Scalar big-integer reference for rounding a finite value; a zero
+    keeps its sign."""
+    return round_mk(*to_mk(x), fmt) if x else x
 
 
 def _f16_ref(x: np.ndarray) -> np.ndarray:
