@@ -1,20 +1,24 @@
 """Round-to-nearest-even quantization into a parametric format.
 
-The kernel works on binary64 arrays.  That is exact for the public
-contract (inputs are binary32-width surrogates, which convert to binary64
-losslessly) and leaves headroom for the fused instruction paths, which
-feed it round-to-odd intermediates wider than binary32.
+It rounds |x| with one add and subtract of a magic constant, in a binary
+width W with F fraction bits and exponent bias B: W itself rounds to
+nearest even, so ``(|x| + M) - M`` with ``M = 1.5 * 2^(E - p + F)`` lands
+on the grid of quantum ``2^(E - p)``.  E is the exponent of |x| clamped
+to [e_min, e_max + 1], so the same step rounds normals and the denormal
+band.  Scaling by ``2^(B - e_max)`` and back makes every result of
+``2^(e_max + 1)`` or more infinite and leaves the others exact.  Formats
+without denormals then flush results below the minimum normal to zero,
+so inputs that round up to it never flush.  The sign is copied back and
+NaN lanes become the canonical NaN.  No step is a masked copy, so a call
+costs the same for any mix of values.
 
-It rounds |x| with one add and subtract of a magic constant: binary64
-itself rounds to nearest even, so ``(|x| + M) - M`` with
-``M = 1.5 * 2^(E - p + 52)`` lands on the grid of quantum ``2^(E - p)``.
-E is the exponent of |x| clamped to [e_min, e_max + 1], so the same step
-rounds normals and the denormal band.  Scaling by ``2^(1023 - e_max)``
-and back makes every result of ``2^(e_max + 1)`` or more infinite and
-leaves the others exact.  Formats without denormals then flush results
-below the minimum normal to zero, so inputs that round up to it never
-flush.  The sign is copied back and NaN lanes become the canonical NaN.
-No step is a masked copy, so a call costs the same for any mix of values.
+One body serves two widths.  float32 input runs in binary32 (F = 23,
+B = 127) when the format's constants fit there (:func:`_fits_binary32`:
+every format with at most 7 exponent and 21 mantissa bits), so the
+elements are never widened.  All other input runs in binary64 (F = 52,
+B = 1023): float64 arrays, such as the round-to-odd sums of the fused
+instruction paths, the scalar :func:`roundfp`, and the 8-bit-exponent
+formats, whose M overflows binary32.  Both widths give the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
+import struct
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,48 +59,65 @@ _ABS = np.uint64((1 << 63) - 1)
 _INF = np.uint64(0x7FF0000000000000)
 _EXP = _INF  # the exponent field
 
-
-def _bits(v: float) -> np.uint64:
-    return np.array(v, dtype=np.float64).view(np.uint64)[()]
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
+# float dtype -> (unsigned view, significand bits after the point, exponent bias)
+_LAYOUTS = {_F64: (np.uint64, 52, 1023), _F32: (np.uint32, 23, 127)}
 
 
 @dataclass(frozen=True)
 class _Grid:
-    """Constants of one format's rounding grid."""
+    """Constants of one format's rounding grid, in one binary width W
+    (F significand bits after the point, exponent bias B)."""
 
-    keep: np.uint64        # clears the binary64 significand bits below the format's
-    max_finite: np.uint64  # bit pattern, for integer comparisons
-    c: float               # 2^(e_min - p + 52): |x| + c - c rounds onto the denormal grid
+    keep: np.unsignedinteger        # clears the W significand bits below the format's
+    max_finite: np.unsignedinteger  # bit pattern, for integer comparisons
+    c: float               # 2^(e_min - p + F): |x| + c - c rounds onto the denormal grid
     low: float             # 2^e_min and 2^(e_max + 1): the range of the exponent
     high: float            # that a magic constant takes from its input
-    add: np.uint64         # 2^E's bits -> 1.5 * 2^(E - p + 52)'s: ((52 - p) << 52) | 2^51
-    up: float              # 2^(1023 - e_max) and its inverse: a magnitude of
+    add: np.unsignedinteger  # 2^E's bits -> 1.5 * 2^(E - p + F)'s: ((F - p) << F) | 2^(F - 1)
+    up: float              # 2^(B - e_max) and its inverse: a magnitude of
     down: float            # 2^(e_max + 1) or more overflows between the two
+    exp: np.unsignedinteger  # the exponent field
 
 
 @functools.lru_cache(maxsize=None)
-def _grid(fmt: FpFormat) -> _Grid:
-    shift = 52 - fmt.mant_bits
+def _grid(fmt: FpFormat, dtype: np.dtype = _F64) -> _Grid:
+    uint, frac, bias = _LAYOUTS[dtype]
+    shift = frac - fmt.mant_bits
+    width = 8 * dtype.itemsize
     return _Grid(
-        keep=np.uint64(~((1 << shift) - 1) & ((1 << 64) - 1)),
-        max_finite=_bits(fmt.max_finite),
-        c=math.ldexp(1.0, fmt.e_min - fmt.mant_bits + 52),
+        keep=uint(~((1 << shift) - 1) & ((1 << width) - 1)),
+        max_finite=np.array(fmt.max_finite, dtype).view(uint)[()],
+        c=math.ldexp(1.0, fmt.e_min - fmt.mant_bits + frac),
         low=fmt.min_normal,
         high=math.ldexp(1.0, fmt.e_max + 1),
-        add=np.uint64((shift << 52) | (1 << 51)),
-        up=math.ldexp(1.0, 1023 - fmt.e_max),
-        down=math.ldexp(1.0, fmt.e_max - 1023),
+        add=uint((shift << frac) | (1 << (frac - 1))),
+        up=math.ldexp(1.0, bias - fmt.e_max),
+        down=math.ldexp(1.0, fmt.e_max - bias),
+        exp=uint(((1 << (width - 1)) - 1) & ~((1 << frac) - 1)),
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _fits_binary32(fmt: FpFormat) -> bool:
+    """Whether binary32 can run the kernel for ``fmt``: p <= 21 keeps
+    |x| + M in the binade of M = 1.5 * 2^(E - p + 23) for every
+    |x| < 2^(E + 1), M is finite (with a binade to spare) at
+    E = e_max + 1, and normal at E = e_min."""
+    p = fmt.mant_bits
+    return p <= 21 and fmt.e_max + 24 - p <= 126 and fmt.e_min - p + 23 >= -126
+
+
 def _magic(x: np.ndarray, g: _Grid, clamp: bool = True) -> np.ndarray:
-    """Bit patterns of the M that round float64 ``x`` as ``(|x| + M) - M``:
-    ``g.add`` plus the bits of 2^E, for x's exponent E floored at e_min
-    and, with ``clamp``, capped at e_max + 1.  The cap keeps M of huge
-    magnitudes, inf and NaN out of the sign bit; without it, inf and NaN
-    get a tiny negative M, which leaves them as they are."""
-    m = x.view(np.uint64) & _EXP
-    e = m.view(np.float64)  # 2^E, 0 or inf: float64 min/max are the fast ones
+    """Bit patterns of the M that round ``x`` as ``(|x| + M) - M`` in x's
+    width, whose grid ``g`` is: ``g.add`` plus the bits of 2^E, for x's
+    exponent E floored at e_min and, with ``clamp``, capped at e_max + 1.
+    The cap keeps M of huge magnitudes, inf and NaN out of the sign bit;
+    without it, inf and NaN get a tiny negative M, which leaves them as
+    they are."""
+    m = x.view(g.exp.dtype) & g.exp
+    e = m.view(x.dtype)  # 2^E, 0 or inf: float min/max are the fast ones
     if clamp:
         np.minimum(e, g.high, out=e)
     np.maximum(e, g.low, out=e)
@@ -102,24 +126,27 @@ def _magic(x: np.ndarray, g: _Grid, clamp: bool = True) -> np.ndarray:
 
 
 def _round_core(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Round float64 values into ``fmt``; returns float64 values that are
-    exactly representable in the format."""
-    g = _grid(fmt)
+    """Round values into ``fmt``; returns values that are exactly
+    representable in the format, float32 for a float32 ``x`` whose
+    format fits binary32 (:func:`_fits_binary32`), else float64."""
+    x = np.asarray(x)
+    dtype = _F32 if x.dtype == _F32 and _fits_binary32(fmt) else _F64
+    g = _grid(fmt, dtype)
     # Arbitrary bit patterns are legal input; converting or adding a
     # signaling NaN raises numpy's "invalid" FP flag even though the
     # quieted NaN is exactly what we want (NaN lanes are overwritten).
     # The scale pair overflows on purpose.
     with np.errstate(invalid="ignore", over="ignore"):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=dtype)
         flat = x.reshape(-1)  # so that ufuncs return arrays even for 0-d input
-        mf = _magic(flat, g).view(np.float64)
+        mf = _magic(flat, g).view(dtype)
         r = np.abs(flat)
         r += mf
         r -= mf
         r *= g.up
         r *= g.down
         if not fmt.denormals:
-            # mf is free now, and a float64 0/1 multiplies faster than a bool.
+            # mf is free now, and a float 0/1 multiplies faster than a bool.
             r *= np.greater_equal(r, g.low, out=mf, casting="unsafe")
         np.copysign(r, flat, out=r)
         nan = np.isnan(r)
@@ -160,7 +187,7 @@ def roundfp_array(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Elementwise roundfp. Returns float32 (every format fits binary32)."""
     x = np.asarray(x)
     if x.size <= _CHUNK:
-        return _round_core(x, fmt).astype(np.float32)
+        return _round_core(x, fmt).astype(np.float32, copy=False)
     out = np.empty(x.shape, dtype=np.float32)
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     for i in range(0, flat.size, _CHUNK):
@@ -171,14 +198,16 @@ def roundfp_array(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
 def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
     """Round one value into ``fmt`` with flags.
 
-    Total: accepts any float, including NaN and the infinities.  EXACT is
-    set iff the value (and zero sign) survives unchanged; ROUNDED means
-    the rounding step proper was inexact, independent of any flush.
+    Total: accepts any float, including NaN and the infinities, and exact
+    ints and Fractions of any size.  EXACT is set iff the value (and zero
+    sign) survives unchanged; ROUNDED means the rounding step proper was
+    inexact, independent of any flush.
     """
-    try:
+    if isinstance(x, numbers.Rational):  # int, Fraction, numpy integer
+        x = Fraction(x)
+        arr = np.array([_round_to_odd(x)])
+    else:
         arr = np.array([x], dtype=np.float64)
-    except OverflowError:  # an int beyond binary64's range overflows every format
-        arr = np.array([math.inf if x > 0 else -math.inf])
     final = float(_round_core(arr, fmt)[0])
     # The value before any flush: the same rounding into the /d twin.
     pre = final if fmt.denormals else float(_round_core(arr, replace(fmt, denormals=True))[0])
@@ -196,6 +225,26 @@ def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
     if pre != 0.0 and math.isfinite(pre) and abs(pre) < fmt.min_normal and final == 0.0:
         flags |= RoundFlag.FLUSHED_DENORMAL
     return RoundingOutcome(FpValue(final, fmt), flags)
+
+
+def _round_to_odd(q: Fraction) -> float:
+    """``q`` in binary64, rounded to odd: truncated toward zero, with the
+    last bit set if that was inexact.  Rounding this once more into a
+    format of at most 24 significant bits is rounding ``q`` itself, the
+    sticky-bit argument of :func:`instructions._add_round_to_odd`.  Beyond
+    binary64's range it is an infinity, as every format's rounding is."""
+    away = math.inf if q > 0 else -math.inf
+    try:
+        f = float(q)
+    except OverflowError:
+        return away
+    if f == q:
+        return f
+    if abs(f) > abs(q):
+        f = math.nextafter(f, -away)
+    if not struct.unpack("<Q", struct.pack("<d", f))[0] & 1:
+        f = math.nextafter(f, away)
+    return f
 
 
 def _same_value(a: float, b: float) -> bool:

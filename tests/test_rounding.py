@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpemu._dyadic import round_mk, to_mk
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.oracle import round_exact, round_float
-from fpemu.rounding import RoundFlag, _on_grid, roundfp, roundfp_array
+from fpemu.rounding import (RoundFlag, _fits_binary32, _on_grid, _round_core, roundfp,
+                            roundfp_array)
 
 HALF = FpFormat.parse("1/5/10/d")
 HALF_N = FpFormat.parse("1/5/10/n")
@@ -237,6 +239,105 @@ def test_roundfp_flags_match_oracle_at_every_binary64_exponent(spec):
         assert (RoundFlag.OVERFLOWED_TO_INF in flags) == want.overflowed, f"{x!r}"
         assert (RoundFlag.FLUSHED_DENORMAL in flags) == want.flushed, f"{x!r}"
         assert (RoundFlag.EXACT in flags) == (not want.rounded and not want.flushed), f"{x!r}"
+
+
+def _exact_values(rng, fmt):
+    """Ints and Fractions that binary64 cannot hold: grid midpoints and
+    grid points nudged far below binary64's resolution, wide random ints
+    and ratios, the two values binary64 once double-rounded, and ints
+    beyond binary64's range."""
+    nudge = Fraction(1, 1 << 80)
+    values = [2**60 + 2**36 + 1, Fraction(4098) + Fraction(1, 2**60), 10**400,
+              Fraction(10**400, 3), Fraction(1, 10**400), 0, Fraction(0), Fraction(1, 3)]
+    points = np.concatenate([_grid_midpoints(rng, 300, fmt),
+                             [fmt.overflow_threshold, fmt.max_finite, fmt.min_normal,
+                              fmt.smallest_positive, fmt.smallest_positive / 2]])
+    for x in points.tolist():
+        q = Fraction(x)
+        values += [q, q + nudge * q, q - nudge * q]
+    for bits in (54, 60, 100, 200):
+        n = 1 << (bits - 1) | int.from_bytes(rng.bytes(32), "little") % (1 << (bits - 1)) | 1
+        values += [n, Fraction(n, 1 << (bits + fmt.mant_bits)), Fraction(n, 3**40)]
+    return values + [-v for v in values]
+
+
+@pytest.mark.parametrize("spec", ["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/8/23/d", "1/2/1/n"])
+def test_roundfp_rounds_exact_ints_and_fractions_once(spec):
+    fmt = FpFormat.parse(spec)
+    for x in _exact_values(np.random.default_rng(53), fmt):
+        want = round_exact(abs(Fraction(x)), fmt, negative=x < 0)
+        out = roundfp(x, fmt)
+        assert val(out) == round_float(x, fmt) == want.value, f"{x!r}"
+        assert math.copysign(1, val(out)) == math.copysign(1, want.value), f"{x!r}"
+        flags = out.flags
+        assert (RoundFlag.ROUNDED in flags) == want.rounded, f"{x!r}"
+        assert (RoundFlag.UNDERFLOWED_TO_ZERO in flags) == want.underflowed, f"{x!r}"
+        assert (RoundFlag.OVERFLOWED_TO_INF in flags) == want.overflowed, f"{x!r}"
+        assert (RoundFlag.FLUSHED_DENORMAL in flags) == want.flushed, f"{x!r}"
+        assert (RoundFlag.EXACT in flags) == (not want.rounded and not want.flushed), f"{x!r}"
+
+
+# ── the binary32 kernel ────────────────────────────────────────────────
+
+# Formats with at most 7 exponent and 21 mantissa bits round float32
+# input in binary32; the others, and all float64 input, in binary64.
+BINARY32_KERNEL = [f"1/{e}/{m}/{d}" for e in range(2, 8) for m in (1, 2, 7, 10, 21)
+                   for d in "dn"]
+BINARY64_KERNEL = ["1/7/22/d", "1/7/23/n", "1/2/22/n", "1/8/1/d", "1/8/7/n", "1/8/21/d",
+                   "1/8/23/d"]
+
+
+def _binary32_corpus(rng, fmt):
+    """float32 input: random bit patterns, binary32 denormals, signaling
+    NaNs of both signs, the format's grid midpoints that binary32 holds
+    and their float32 neighbours, ±max_finite, the overflow threshold and
+    its neighbours, ±min_normal, ±0, ±inf and NaN."""
+    f32 = np.float32
+    bits = rng.integers(0, 1 << 32, 6000, dtype=np.uint64).astype(np.uint32)
+    denormals = bits[:1000] & np.uint32(0x807FFFFF)
+    snans = np.uint32(0x7F800000) | rng.integers(1, 1 << 22, 50, dtype=np.uint32)
+    mids = _grid_midpoints(rng, 2000, fmt)
+    edges = np.array([fmt.max_finite, fmt.overflow_threshold, fmt.min_normal])
+    wanted = np.concatenate([mids, edges, -edges])
+    # 1/8/23's overflow threshold is not a binary32 number, and its
+    # max_finite's neighbour is inf.
+    with np.errstate(over="ignore"):
+        exact = wanted.astype(f32)
+        exact = exact[exact == wanted]
+        exact = np.concatenate([exact, np.nextafter(exact, f32(0)), np.nextafter(exact, f32(np.inf))])
+    return np.concatenate([
+        bits.view(f32), denormals.view(f32), snans.view(f32), (snans | np.uint32(1 << 31)).view(f32),
+        exact, np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=f32),
+    ])
+
+
+def _reference(x: float, fmt: FpFormat) -> float:
+    """_dyadic's big-integer rounding, which shares no code with the kernel."""
+    if not -math.inf < x < math.inf:
+        return x
+    return round_mk(*to_mk(x), fmt) if x else x
+
+
+@pytest.mark.parametrize("spec", BINARY32_KERNEL + BINARY64_KERNEL)
+def test_binary32_kernel_matches_big_integer_rounding_by_bits(spec):
+    fmt = FpFormat.parse(spec)
+    assert _fits_binary32(fmt) == (spec in BINARY32_KERNEL)
+    xs = _binary32_corpus(np.random.default_rng(61), fmt)
+    core = _round_core(xs, fmt)
+    assert core.dtype == (np.float32 if spec in BINARY32_KERNEL else np.float64)
+    with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
+        assert _round_core(xs.astype(np.float64), fmt).dtype == np.float64
+    got = roundfp_array(xs, fmt)
+    want = np.array([_reference(x, fmt) for x in xs.tolist()], dtype=np.float32)
+    want[np.isnan(want)] = np.nan  # the canonical quiet NaN, 0x7FC00000
+    mismatch = got.view(np.uint32) != want.view(np.uint32)
+    assert not mismatch.any(), f"{xs[mismatch][:5]!r} -> {got[mismatch][:5]!r}"
+    # The corpus reaches every kind of result, NaN lanes included.
+    nan_bits = got[np.isnan(got)].view(np.uint32)
+    assert nan_bits.size >= 100 and (nan_bits == 0x7FC00000).all()
+    assert np.isinf(got).any() and (got == 0).any()
+    mag = np.abs(got)
+    assert ((mag > 0) & (mag < fmt.min_normal)).any() == fmt.denormals
 
 
 @pytest.mark.parametrize("fmt", ALL_FMTS + (BINARY32,), ids=str)
