@@ -323,8 +323,7 @@ def test_binary32_kernel_matches_big_integer_rounding_by_bits(spec):
     fmt = FpFormat.parse(spec)
     assert _fits_binary32(fmt) == (spec in BINARY32_KERNEL)
     xs = _binary32_corpus(np.random.default_rng(61), fmt)
-    core = _round_core(xs, fmt)
-    assert core.dtype == (np.float32 if spec in BINARY32_KERNEL else np.float64)
+    assert _round_core(xs, fmt).dtype == (np.float32 if spec in BINARY32_KERNEL else np.float64)
     with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
         assert _round_core(xs.astype(np.float64), fmt).dtype == np.float64
     got = roundfp_array(xs, fmt)
