@@ -140,11 +140,26 @@ def _flags_str(flags) -> str:
     return "|".join(names) if names else "none"
 
 
+def _round_operand(text: str) -> float:
+    """:func:`parse_value`, except for a finite, nonzero literal beyond
+    binary64's range, which it reads as ±inf or ±0: that becomes the
+    finite, nonzero binary64 number of the same sign nearest to it.  Every
+    format's range lies far inside binary64's, so that number rounds to
+    the literal's result, with the literal's flags."""
+    x = parse_value(text)
+    low = text.strip().lstrip("+-").lower()
+    if math.isinf(x) and low not in ("inf", "infinity"):
+        return math.copysign(sys.float_info.max, x)
+    digits = low[2:].split("p")[0] if low.startswith("0x") else low.split("e")[0]
+    if x == 0 and (low.startswith("2^") or digits.strip("0._")):
+        return math.copysign(math.ulp(0.0), x)
+    return x
+
+
 def _cmd_round(args: argparse.Namespace) -> int:
     fmt = _parse_format(args.format)
     for text in args.values:
-        x = parse_value(text)
-        outcome = roundfp(x, fmt)
+        outcome = roundfp(_round_operand(text), fmt)
         value = outcome.value.surrogate
         line = f"{text} -> {_float_str(value)}  flags={_flags_str(outcome.flags)}"
         if fmt.width == 16:

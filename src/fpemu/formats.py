@@ -216,7 +216,8 @@ def classify_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     infinity).  float32 input is read as ``uint32``, anything else as
     binary64.
     """
-    mag, min_normal, inf = _magnitudes(values, fmt)
+    bits, abs_mask, min_normal, inf = _bit_patterns(values, fmt)
+    mag = bits & abs_mask
     codes = (mag != 0).view(np.uint8)
     codes += mag >= min_normal
     codes += mag >= inf
@@ -224,27 +225,45 @@ def classify_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return codes.reshape(np.shape(values))
 
 
+# class_counts compares this many elements at a time, so that its two
+# scratch buffers stay cache-resident however large the input.
+_BLOCK = 1 << 16
+
+
 def class_counts(values: np.ndarray, fmt: FpFormat) -> tuple[int, int, int, int, int]:
     """How many values fall in each :class:`FpClass`, in its order: the
-    counts of :func:`classify_array`'s codes, from the same four
-    comparisons counted one at a time, without building the codes."""
-    mag, min_normal, inf = _magnitudes(values, fmt)
-    nonzero, normal_up, inf_up, nan = (
-        int(np.count_nonzero(c)) for c in (mag != 0, mag >= min_normal, mag >= inf, mag > inf)
-    )
-    return (mag.size - nonzero, nonzero - normal_up, normal_up - inf_up, inf_up - nan, nan)
+    counts of :func:`classify_array`'s four comparisons, without building
+    the codes.  They are taken ``_BLOCK`` elements at a time; the first
+    block's magnitudes and comparison become the scratch buffers that
+    every later block writes into."""
+    bits, abs_mask, min_normal, inf = _bit_patterns(values, fmt)
+    nonzero = normal_up = inf_up = nan = 0
+    for i in range(0, bits.size, _BLOCK):
+        block = bits[i:i + _BLOCK]
+        if i == 0:
+            mag = block & abs_mask
+            cmp = mag >= min_normal
+        else:  # the last block may be the shorter one
+            mag = np.bitwise_and(block, abs_mask, out=mag[:block.size])
+            cmp = np.greater_equal(mag, min_normal, out=cmp[:block.size])
+        nonzero += np.count_nonzero(mag)
+        normal_up += np.count_nonzero(cmp)
+        inf_up += np.count_nonzero(np.greater_equal(mag, inf, out=cmp))
+        nan += np.count_nonzero(np.greater(mag, inf, out=cmp))
+    nonzero, normal_up, inf_up, nan = map(int, (nonzero, normal_up, inf_up, nan))
+    return (bits.size - nonzero, nonzero - normal_up, normal_up - inf_up, inf_up - nan, nan)
 
 
-def _magnitudes(values: np.ndarray, fmt: FpFormat):
-    """The flat sign-cleared bit patterns of ``values`` and those of
-    ``fmt``'s minimum normal and of infinity, as one unsigned type."""
+def _bit_patterns(values: np.ndarray, fmt: FpFormat):
+    """The flat bit patterns of ``values``, the mask that clears their
+    sign, and the patterns of ``fmt``'s minimum normal and of infinity,
+    as one unsigned type."""
     a = np.asarray(values)
     if a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
     uint = np.dtype(f"u{a.itemsize}").type
-    mag = a.reshape(-1).view(uint) & uint(np.iinfo(uint).max >> 1)
     min_normal, inf = np.array([fmt.min_normal, np.inf], dtype=a.dtype).view(uint)
-    return mag, min_normal, inf
+    return a.reshape(-1).view(uint), uint(np.iinfo(uint).max >> 1), min_normal, inf
 
 
 # ── 16-bit wire format ─────────────────────────────────────────────────

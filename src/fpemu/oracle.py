@@ -11,6 +11,7 @@ this module; nothing here shares code with them beyond format constants.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -60,6 +61,10 @@ def round_exact(q: Fraction, fmt: FpFormat, negative: bool = False) -> OracleRou
     """
     if q < 0:
         raise ValueError("round_exact takes a nonnegative magnitude")
+    if type(q.numerator) is not int or type(q.denominator) is not int:
+        # A numpy integer, or a Fraction built from one, holds numpy ints,
+        # which have no bit_length and wrap around on overflow.
+        q = Fraction(int(q.numerator), int(q.denominator))
     sign = -1.0 if negative else 1.0
     if q == 0:
         return OracleRounding(sign * 0.0, False, False, False, False)
@@ -99,6 +104,8 @@ def round_float(x: float, fmt: FpFormat) -> float:
     """Round a float (binary32 surrogate or wider) into ``fmt``."""
     if not -math.inf < x < math.inf:  # NaN and the infinities
         return x if x == x else math.nan
+    if isinstance(x, numbers.Integral):
+        x = int(x)  # abs() of the most negative numpy integer wraps around
     negative = x < 0 if x else math.copysign(1.0, x) < 0  # an int beyond binary64 has no copysign
     return round_exact(Fraction(abs(x)), fmt, negative=negative).value
 

@@ -15,10 +15,17 @@ costs the same for any mix of values.
 One body serves two widths.  float32 input runs in binary32 (F = 23,
 B = 127) when the format's constants fit there (:func:`_fits_binary32`:
 every format with at most 7 exponent and 21 mantissa bits), so the
-elements are never widened.  All other input runs in binary64 (F = 52,
-B = 1023): float64 arrays, such as the round-to-odd sums of the fused
-instruction paths, the scalar :func:`roundfp`, and the 8-bit-exponent
-formats, whose M overflows binary32.  Both widths give the same bits.
+elements are never widened.  float64 input runs in binary64 (F = 52,
+B = 1023): the round-to-odd sums of the fused instruction paths and the
+scalar :func:`roundfp`, for instance.
+
+float32 input into a format with 8 exponent bits, whose M overflows
+binary32, needs no float arithmetic at all: the format has binary32's
+exponent range, so its grid is binary32's with the low 23 - p bits of
+each bit pattern cleared, denormals included, and :func:`_round_bits32`
+rounds with an integer add and a mask.  The few formats left (float32
+input, at most 7 exponent bits and 22 or 23 mantissa bits) run in
+binary64.  Every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -125,11 +132,46 @@ def _magic(x: np.ndarray, g: _Grid, clamp: bool = True) -> np.ndarray:
     return m
 
 
+_SIGN32 = np.uint32(1 << 31)
+_ABS32 = np.uint32((1 << 31) - 1)
+_INF32 = np.uint32(0x7F800000)
+_NAN32 = np.uint32(0x7FC00000)
+_MIN_NORMAL32 = np.uint32(0x00800000)
+
+
+def _round_bits32(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """Round float32 ``x`` into ``fmt``, a format with binary32's exponent
+    range (8 exponent bits), on the bit patterns.  Its grid is binary32's
+    with the low s = 23 - p bits of each pattern cleared, denormals
+    included, so adding ``2^(s - 1) - 1`` plus bit s and masking rounds
+    the magnitude to nearest even.  The carry crosses binades, and out of
+    the top binade reaches infinity's pattern exactly when RNE overflows."""
+    u = x.reshape(-1).view(np.uint32)
+    r = u & _ABS32
+    nan = r > _INF32
+    s = 23 - fmt.mant_bits
+    if s:
+        t = r >> s
+        t &= 1
+        r += np.uint32((1 << (s - 1)) - 1)
+        r += t
+        r &= _grid(fmt, _F32).keep
+    if not fmt.denormals:
+        r *= r >= _MIN_NORMAL32
+    r |= u & _SIGN32
+    if nan.any():
+        r[nan] = _NAN32
+    return r.view(_F32).reshape(x.shape)
+
+
 def _round_core(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Round values into ``fmt``; returns values that are exactly
     representable in the format, float32 for a float32 ``x`` whose
-    format fits binary32 (:func:`_fits_binary32`), else float64."""
+    format has 8 exponent bits or fits binary32 (:func:`_fits_binary32`),
+    else float64."""
     x = np.asarray(x)
+    if x.dtype == _F32 and fmt.exp_bits == 8:
+        return _round_bits32(x, fmt)
     dtype = _F32 if x.dtype == _F32 and _fits_binary32(fmt) else _F64
     g = _grid(fmt, dtype)
     # Arbitrary bit patterns are legal input; converting or adding a
@@ -179,7 +221,7 @@ def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
 
 
 # roundfp_array rounds large arrays this many elements at a time, so the
-# kernel's binary64 temporaries stay small and cache-resident.
+# kernel's temporaries stay small and cache-resident.
 _CHUNK = 1 << 14
 
 

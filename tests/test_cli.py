@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from fpemu import training
 from fpemu.cli import _CliError, main, parse_value
+from fpemu.formats import FpFormat
+from fpemu.rounding import RoundFlag, roundfp
 from fpemu.telemetry import RunSummary
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -96,6 +99,35 @@ def test_round_command(capsys):
 def test_round_flush_format(capsys):
     assert main(["round", "1/5/10/n", "2^-15"]) == 0
     assert "FLUSHED_DENORMAL" in capsys.readouterr().out
+
+
+_BEYOND_BINARY64 = [("1e400", Fraction(10**400)), ("2^2000", Fraction(2**2000)),
+                    ("1e-400", Fraction(1, 10**400)), ("2^-2000", Fraction(1, 2**2000)),
+                    ("0x1p99999", Fraction(2**99999))]
+
+
+@pytest.mark.parametrize("spec", ["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/8/23/d"])
+@pytest.mark.parametrize("text,exact", _BEYOND_BINARY64 + [
+    ("-" + text, -exact) for text, exact in _BEYOND_BINARY64])
+def test_round_reports_literals_beyond_binary64(spec, text, exact, capsys):
+    # binary64 reads these as ±inf or ±0; the command rounds them as
+    # roundfp rounds their exact values, overflow and underflow reported
+    out = roundfp(exact, FpFormat.parse(spec))
+    flags = "ROUNDED|" + ("OVERFLOWED_TO_INF" if abs(exact) > 1 else "UNDERFLOWED_TO_ZERO")
+    assert "|".join(f.name for f in RoundFlag if f in out.flags) == flags
+    assert math.copysign(1.0, out.value.surrogate) == (1.0 if exact > 0 else -1.0)
+    assert main(["round", spec, "--", text]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith(f"{text} -> {out.value.surrogate!r}") and f"flags={flags}" in line
+
+
+@pytest.mark.parametrize("text,shown", [("inf", "inf"), ("-inf", "-inf"), ("0", "0.0"),
+                                        ("-0", "-0.0"), ("0e-999", "0.0"),
+                                        ("-0x0p-99999", "-0.0")])
+def test_round_keeps_infinities_and_zero_literals_exact(text, shown, capsys):
+    assert main(["round", "1/5/10/d", "--", text]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith(f"{text} -> {shown}") and "flags=EXACT" in line
 
 
 def test_dot_golden_file(capsys):

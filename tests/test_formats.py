@@ -8,6 +8,8 @@ from fpemu.formats import (
     FpClass,
     FpFormat,
     FpValue,
+    _BLOCK,
+    class_counts,
     classify,
     classify_array,
     decode16,
@@ -166,6 +168,36 @@ def test_classify_array_agrees_with_scalar():
     tiny = np.array([[2.0**-149, -(2.0**-160)], [np.nan, -np.inf]])
     assert classify_array(tiny, BF8).tolist() == [[1, 1], [4, 3]]
     assert classify_array(tiny.T, BF8).tolist() == [[1, 4], [1, 3]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocks", [(2, 0), (3, 1000)], ids=["whole", "remainder"])
+def test_blocked_class_counts_match_the_codes(dtype, blocks):
+    # random bit patterns over whole blocks and a shorter last one; each
+    # class in turn sits at the first and the last element of every block
+    whole, rest = blocks
+    n = whole * _BLOCK + rest
+    uint = np.dtype(dtype).str.replace("f", "u")
+    rng = np.random.default_rng(23)
+    base = rng.integers(0, np.iinfo(uint).max, n, dtype=uint, endpoint=True).view(dtype)
+    ends = np.r_[0:n:_BLOCK, _BLOCK - 1:n:_BLOCK, n - 1]
+    for fmt in (HALF, BF8):
+        for v in (-0.0, fmt.min_normal / 2, -1.0, np.inf, np.nan):
+            x = base.copy()
+            x[ends] = v
+            want = np.bincount(classify_array(x, fmt), minlength=5).tolist()
+            got = class_counts(x, fmt)
+            assert list(got) == want and all(type(c) is int for c in got), (fmt, v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_class_counts_of_empty_and_0d_input(dtype):
+    assert class_counts(np.zeros(0, dtype), HALF) == (0, 0, 0, 0, 0)
+    for v, code in ((0.0, 0), (2.0**-20, 1), (-3.0, 2), (-np.inf, 3), (np.nan, 4)):
+        got = class_counts(np.array(v, dtype), HALF)
+        assert got == tuple(int(i == code) for i in range(5))
+        assert got == tuple(np.bincount(classify_array(np.array(v, dtype), HALF).ravel(),
+                                        minlength=5))
 
 
 def test_encoding_partition_counts():

@@ -2,6 +2,7 @@
 flush-to-zero applied after rounding, and the outcome flags."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -244,8 +245,8 @@ def test_roundfp_flags_match_oracle_at_every_binary64_exponent(spec):
 def _exact_values(rng, fmt):
     """Ints and Fractions that binary64 cannot hold: grid midpoints and
     grid points nudged far below binary64's resolution, wide random ints
-    and ratios, the two values binary64 once double-rounded, and ints
-    beyond binary64's range."""
+    and ratios, the two values binary64 once double-rounded, ints beyond
+    binary64's range, and numpy integers and Fractions of them."""
     nudge = Fraction(1, 1 << 80)
     values = [2**60 + 2**36 + 1, Fraction(4098) + Fraction(1, 2**60), 10**400,
               Fraction(10**400, 3), Fraction(1, 10**400), 0, Fraction(0), Fraction(1, 3)]
@@ -258,7 +259,10 @@ def _exact_values(rng, fmt):
     for bits in (54, 60, 100, 200):
         n = 1 << (bits - 1) | int.from_bytes(rng.bytes(32), "little") % (1 << (bits - 1)) | 1
         values += [n, Fraction(n, 1 << (bits + fmt.mant_bits)), Fraction(n, 3**40)]
-    return values + [-v for v in values]
+    wide = 2**60 + 2**36 + 1
+    numpy_ints = [np.int64(wide), np.int64(-wide), np.uint64(2**64 - 1), np.int64(5),
+                  Fraction(np.int64(wide), np.int64(7)), Fraction(np.int64(-5))]
+    return values + [-v for v in values] + numpy_ints
 
 
 @pytest.mark.parametrize("spec", ["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/8/23/d", "1/2/1/n"])
@@ -277,14 +281,15 @@ def test_roundfp_rounds_exact_ints_and_fractions_once(spec):
         assert (RoundFlag.EXACT in flags) == (not want.rounded and not want.flushed), f"{x!r}"
 
 
-# ── the binary32 kernel ────────────────────────────────────────────────
+# ── the binary32 and integer kernels ───────────────────────────────────
 
 # Formats with at most 7 exponent and 21 mantissa bits round float32
-# input in binary32; the others, and all float64 input, in binary64.
+# input in binary32; formats with 8 exponent bits round it on its bit
+# pattern; the others, and all float64 input, run in binary64.
 BINARY32_KERNEL = [f"1/{e}/{m}/{d}" for e in range(2, 8) for m in (1, 2, 7, 10, 21)
                    for d in "dn"]
-BINARY64_KERNEL = ["1/7/22/d", "1/7/23/n", "1/2/22/n", "1/8/1/d", "1/8/7/n", "1/8/21/d",
-                   "1/8/23/d"]
+INTEGER_KERNEL = [f"1/8/{m}/{d}" for m in range(1, 24) for d in "dn"]
+BINARY64_KERNEL = ["1/7/22/d", "1/7/23/n", "1/2/22/n"]
 
 
 def _binary32_corpus(rng, fmt):
@@ -318,12 +323,13 @@ def _reference(x: float, fmt: FpFormat) -> float:
     return round_mk(*to_mk(x), fmt) if x else x
 
 
-@pytest.mark.parametrize("spec", BINARY32_KERNEL + BINARY64_KERNEL)
+@pytest.mark.parametrize("spec", BINARY32_KERNEL + INTEGER_KERNEL + BINARY64_KERNEL)
 def test_binary32_kernel_matches_big_integer_rounding_by_bits(spec):
     fmt = FpFormat.parse(spec)
     assert _fits_binary32(fmt) == (spec in BINARY32_KERNEL)
     xs = _binary32_corpus(np.random.default_rng(61), fmt)
-    assert _round_core(xs, fmt).dtype == (np.float32 if spec in BINARY32_KERNEL else np.float64)
+    wide = np.float64 if spec in BINARY64_KERNEL else np.float32
+    assert _round_core(xs, fmt).dtype == wide
     with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
         assert _round_core(xs.astype(np.float64), fmt).dtype == np.float64
     got = roundfp_array(xs, fmt)
@@ -337,6 +343,24 @@ def test_binary32_kernel_matches_big_integer_rounding_by_bits(spec):
     assert np.isinf(got).any() and (got == 0).any()
     mag = np.abs(got)
     assert ((mag > 0) & (mag < fmt.min_normal)).any() == fmt.denormals
+
+
+@pytest.mark.skipif(not os.environ.get("FPEMU_EXHAUSTIVE"),
+                    reason="set FPEMU_EXHAUSTIVE=1 for the full 2^32 sweep")
+@pytest.mark.parametrize("spec", ["1/8/7/n", "1/8/7/d"])
+def test_integer_kernel_matches_binary64_kernel_exhaustively(spec):
+    # every float32 bit pattern, rounded on its bits and, widened to
+    # float64, by the magic-constant body in binary64
+    fmt = FpFormat.parse(spec)
+    step = 1 << 22
+    mismatches = 0
+    for start in range(0, 1 << 32, step):
+        xs = np.arange(start, start + step, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        with np.errstate(invalid="ignore"):  # widening quiets signaling NaNs
+            wide = xs.astype(np.float64)
+        got = roundfp_array(xs, fmt).view(np.uint32)
+        mismatches += int(np.count_nonzero(got != roundfp_array(wide, fmt).view(np.uint32)))
+    assert mismatches == 0
 
 
 @pytest.mark.parametrize("fmt", ALL_FMTS + (BINARY32,), ids=str)
