@@ -16,7 +16,7 @@ exits 1 on an implementation/oracle mismatch.
 
 Values on the command line may be written as decimals (``0.5``,
 ``6.1e-5``), hex floats (``0x1.8p-5``), powers of two (``2^-24``,
-``-2^10``), or ``inf``/``-inf``/``nan``.
+``-2^10``), or ``inf``/``-inf``/``nan``, with at most one sign.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,9 @@ from .telemetry import RunSummary
 from .training import parse_config_text, resolve_config, train
 
 __all__ = ["main", "parse_value"]
+
+# what a literal's body, after at most one sign, starts with
+_BODY_STARTS = (*"0123456789.", "inf", "nan")
 
 
 class _CliError(Exception):
@@ -63,6 +68,8 @@ def parse_value(text: str) -> float:
             sign = -1.0
         body = body[1:]
     low = body.lower()
+    if not low.startswith(_BODY_STARTS):
+        raise _CliError(f"cannot parse value {text!r}: expected a digit, '.', inf or nan")
     if low in ("inf", "infinity"):
         return sign * math.inf
     if low == "nan":
@@ -140,26 +147,42 @@ def _flags_str(flags) -> str:
     return "|".join(names) if names else "none"
 
 
-def _round_operand(text: str) -> float:
-    """:func:`parse_value`, except for a finite, nonzero literal beyond
-    binary64's range, which it reads as ±inf or ±0: that becomes the
-    finite, nonzero binary64 number of the same sign nearest to it.  Every
-    format's range lies far inside binary64's, so that number rounds to
-    the literal's result, with the literal's flags."""
+def _exact_value(text: str) -> float | Fraction:
+    """A literal's value, for :func:`roundfp` to round once.
+
+    :func:`parse_value` rounds the literal into binary64, and rounding
+    that again into a format can differ from rounding the literal.  So a
+    literal that binary64 reads as finite and nonzero is returned
+    exactly, as a Fraction.  One beyond binary64's range, read as ±inf or
+    ±0, becomes the finite, nonzero binary64 number of the same sign
+    nearest to it: every format's range lies far inside binary64's, so
+    that number rounds to the literal's result, with the literal's flags.
+    Infinities, NaN and zeros are returned as read."""
     x = parse_value(text)
     low = text.strip().lstrip("+-").lower()
-    if math.isinf(x) and low not in ("inf", "infinity"):
-        return math.copysign(sys.float_info.max, x)
-    digits = low[2:].split("p")[0] if low.startswith("0x") else low.split("e")[0]
-    if x == 0 and (low.startswith("2^") or digits.strip("0._")):
-        return math.copysign(math.ulp(0.0), x)
-    return x
+    if math.isnan(x) or low in ("inf", "infinity"):
+        return x
+    # the literal is mantissa * 2^scale; no power is built before x shows it is small
+    if low.startswith("2^"):
+        mantissa, scale = 1, int(low[2:])
+    elif low.startswith("0x"):
+        digits, _, exp = low[2:].partition("p")
+        whole, _, frac = digits.partition(".")
+        mantissa, scale = int(whole + frac or "0", 16), int(exp or "0") - 4 * len(frac)
+    else:
+        mantissa, scale = Decimal(low), 0
+    if not mantissa:
+        return x  # a zero, signed as written
+    if math.isinf(x) or x == 0:  # beyond binary64's range
+        return math.copysign(sys.float_info.max if x else math.ulp(0.0), x)
+    exact = Fraction(mantissa) * Fraction(2) ** scale
+    return -exact if x < 0 else exact
 
 
 def _cmd_round(args: argparse.Namespace) -> int:
     fmt = _parse_format(args.format)
     for text in args.values:
-        outcome = roundfp(_round_operand(text), fmt)
+        outcome = roundfp(_exact_value(text), fmt)
         value = outcome.value.surrogate
         line = f"{text} -> {_float_str(value)}  flags={_flags_str(outcome.flags)}"
         if fmt.width == 16:
@@ -168,17 +191,17 @@ def _cmd_round(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_vector_file(path: Path) -> tuple[list[float], list[float]]:
+def _read_vector_file(path: Path) -> tuple[list[float | Fraction], list[float | Fraction]]:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-    rows: list[list[float]] = []
+    rows: list[list[float | Fraction]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        rows.append([parse_value(tok) for tok in line.split()])
+        rows.append([_exact_value(tok) for tok in line.split()])
     if len(rows) != 2:
         raise _CliError(
             f"{path}: expected exactly two data lines (w then x), found {len(rows)}"

@@ -225,8 +225,8 @@ def classify_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return codes.reshape(np.shape(values))
 
 
-# class_counts compares this many elements at a time, so that its two
-# scratch buffers stay cache-resident however large the input.
+# class_counts and rounding.roundfp_array take large arrays this many
+# elements at a time, so that their temporaries stay cache-resident.
 _BLOCK = 1 << 16
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .formats import FpFormat, FpValue
+from .formats import _BLOCK, FpFormat, FpValue
 
 __all__ = ["RoundFlag", "RoundingOutcome", "roundfp", "roundfp_array"]
 
@@ -220,20 +220,15 @@ def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return ok.reshape(a.shape)
 
 
-# roundfp_array rounds large arrays this many elements at a time, so the
-# kernel's temporaries stay small and cache-resident.
-_CHUNK = 1 << 14
-
-
 def roundfp_array(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Elementwise roundfp. Returns float32 (every format fits binary32)."""
     x = np.asarray(x)
-    if x.size <= _CHUNK:
+    if x.size <= _BLOCK:
         return _round_core(x, fmt).astype(np.float32, copy=False)
     out = np.empty(x.shape, dtype=np.float32)
     flat, flat_out = x.reshape(-1), out.reshape(-1)
-    for i in range(0, flat.size, _CHUNK):
-        flat_out[i:i + _CHUNK] = _round_core(flat[i:i + _CHUNK], fmt)
+    for i in range(0, flat.size, _BLOCK):
+        flat_out[i:i + _BLOCK] = _round_core(flat[i:i + _BLOCK], fmt)
     return out
 
 

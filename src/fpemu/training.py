@@ -31,13 +31,14 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .formats import BINARY32, FpFormat
 from .instructions import AccumMode, matmul, matmul_wide
 from .rounding import roundfp_array
-from .tasks import TASK_NAMES, TASK_SIZES, TaskData, build_task_data, task_defaults
+from .tasks import TASK_SIZES, TaskData, build_task_data, task_defaults
 from .telemetry import DenormalStats, Phase, RunSummary, TelemetrySink
 
 __all__ = [
@@ -69,6 +70,9 @@ _EXP2_COEFS = [_LN2**k / math.factorial(k) for k in range(13)]
 class TrainConfig:
     """Resolved hyperparameters for one training run.
 
+    A field left ``None`` takes the task's value (:func:`fpemu.tasks.task_defaults`), in
+    Python as from a config file or the CLI; a value given explicitly wins.
+
     Outcome classification: the final loss is the mean of the last (up
     to) 10 recorded step losses.  ``final <= converged_loss`` reports
     "converged", ``final <= degraded_loss`` reports "degraded", and
@@ -87,20 +91,21 @@ class TrainConfig:
     backoff_factor: float = 0.5
     min_scale: float = 1.0
     max_scale: float = 2.0**24
-    steps: int = 600
-    batch_size: int = 32
-    lr: float = 0.05
-    momentum: float = 0.0
+    steps: int | None = None
+    batch_size: int | None = None
+    lr: float | None = None
+    momentum: float | None = None
     seed: int = 1234
     telemetry_interval: int = 1
     divergence_patience: int = 20
-    converged_loss: float = 1e-7
-    degraded_loss: float = 1e-5
+    converged_loss: float | None = None
+    degraded_loss: float | None = None
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.task not in TASK_NAMES:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {TASK_NAMES}")
+        for name, value in task_defaults(self.task).items():  # refuses an unknown task
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
         if self.dtype == "float64" and self.fmt is not None:
@@ -196,31 +201,25 @@ def _parse_format(raw: str) -> FpFormat | None:
     return None if raw.lower() in ("none", "") else FpFormat.parse(raw)
 
 
-# type of a field's default -> parser of its config value
+# declared type of a field -> parser of its config value
 _PARSERS = {
-    bool: _parse_bool, int: int, float: float, str: str,
-    AccumMode: AccumMode.parse, type(None): _parse_format,
+    bool: _parse_bool, int: int, float: float, str: str, AccumMode: AccumMode.parse,
+    FpFormat | None: _parse_format, int | None: int, float | None: float,
 }
-# config key -> TrainConfig field
-_CONFIG_FIELDS = {_config_key(f.name): f for f in fields(TrainConfig)}
+# config key -> (TrainConfig field, parser of its value)
+_CONFIG_FIELDS = {_config_key(n): (n, _PARSERS[t]) for n, t in get_type_hints(TrainConfig).items()}
 
 
 def resolve_config(entries: dict[str, str]) -> TrainConfig:
-    """Layer file entries over per-task defaults and build a TrainConfig."""
+    """A TrainConfig of config file entries; a field left out takes its default."""
     unknown = sorted(set(entries) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(
             f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_FIELDS)}"
         )
-    task = entries.get("task", "regression")
-    if task not in TASK_NAMES:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASK_NAMES}")
-
-    merged: dict[str, object] = dict(task_defaults(task))
-    for key, raw in entries.items():
-        f = _CONFIG_FIELDS[key]
-        merged[f.name] = _PARSERS[type(f.default)](raw)
-    return TrainConfig(**merged)  # type: ignore[arg-type]
+    return TrainConfig(**{
+        name: parse(entries[key]) for key, (name, parse) in _CONFIG_FIELDS.items() if key in entries
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +483,10 @@ class Model:
         return [layer for layer in self.layers if layer.trainable]
 
     def grads(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.trainable_layers():
-            out.append(layer.dW)
-            out.append(layer.db)
-        return out
+        return [g for layer in self.trainable_layers() for g in (layer.dW, layer.db)]
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.trainable_layers():
-            out.append(layer.W)
-            out.append(layer.b)
-        return out
+        return [p for layer in self.trainable_layers() for p in (layer.W, layer.b)]
 
     def set_params(self, arrays: list[np.ndarray]) -> None:
         layers = self.trainable_layers()
@@ -517,23 +508,20 @@ class Model:
 
 
 def build_model(cfg: TrainConfig, data: TaskData) -> Model:
+    """Layers ``fc0``, ``relu0``, ``fc1``, ... of ``data.layout``'s widths, or for
+    ``cnn_classify`` (pixels, channels, classes), ``conv0``, ``relu0`` and ``fc0``."""
     rng = np.random.default_rng([cfg.seed, 1])
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
-    if data.name == "regression":
-        return Model([Linear("fc0", 16, 1, rng, dtype)])
-    if data.name == "mlp_classify":
-        return Model([
-            Linear("fc0", 8, 24, rng, dtype),
-            ReLU("relu0"),
-            Linear("fc1", 24, 3, rng, dtype),
-        ])
+    layers: list = []
+    widths = data.layout
     if data.name == "cnn_classify":
-        return Model([
-            Conv3x3("conv0", 3, rng, dtype),
-            ReLU("relu0"),
-            Linear("fc0", 108, 4, rng, dtype),
-        ])
-    raise ValueError(f"no model for task {data.name!r}")
+        layers += [Conv3x3("conv0", widths[1], rng, dtype), ReLU("relu0")]
+        widths = (36 * widths[1], *widths[2:])  # a conv output per 6x6 position and channel
+    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        if i:
+            layers.append(ReLU(f"relu{i - 1}"))
+        layers.append(Linear(f"fc{i}", n_in, n_out, rng, dtype))
+    return Model(layers)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fpemu import training
 from fpemu.cli import _CliError, main, parse_value
 from fpemu.formats import FpFormat
+from fpemu.oracle import round_exact
 from fpemu.rounding import RoundFlag, roundfp
 from fpemu.telemetry import RunSummary
 
@@ -56,7 +57,8 @@ def test_parse_value_nan():
     assert math.isnan(parse_value("nan"))
 
 
-@pytest.mark.parametrize("text", ["", "2^", "2^x", "0x", "zero", "1..2"])
+@pytest.mark.parametrize("text", ["", "2^", "2^x", "0x", "zero", "1..2",
+                                  "--5", "+-5", "- 5", "--inf"])
 def test_parse_value_rejects(text):
     with pytest.raises(_CliError):
         parse_value(text)
@@ -121,6 +123,35 @@ def test_round_reports_literals_beyond_binary64(spec, text, exact, capsys):
     assert line.startswith(f"{text} -> {out.value.surrogate!r}") and f"flags={flags}" in line
 
 
+@pytest.mark.parametrize("text,shown,flags", [
+    ("1e-999999999", "0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
+    ("-2^-999999999", "-0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
+    ("0x1p999999999", "inf", "ROUNDED|OVERFLOWED_TO_INF"),
+])
+def test_round_reads_huge_exponents_without_building_the_power(text, shown, flags, capsys):
+    assert main(["round", "1/5/10/d", "--", text]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith(f"{text} -> {shown}") and f"flags={flags} " in line
+
+
+@pytest.mark.parametrize("spec", ["1/5/10/d", "1/6/9/n"])
+@pytest.mark.parametrize("text,exact", [
+    ("1.00048828125000000001", Fraction("1.00048828125000000001")),
+    ("0x1.0020000000000001p0", Fraction(0x10020000000000001, 16**16)),
+    ("-0x1.0020000000000001p0", -Fraction(0x10020000000000001, 16**16)),
+    ("0.000030517578125000000001", Fraction("0.000030517578125000000001")),
+    ("6.1035156250000001e-05", Fraction("6.1035156250000001e-05")),
+])
+def test_round_rounds_a_literal_once(spec, text, exact, capsys):
+    # binary64 reads each of these as a midpoint or a point of the
+    # format's grid; the command rounds the exact value once, as the oracle
+    want = round_exact(abs(exact), FpFormat.parse(spec), negative=exact < 0)
+    assert want.rounded and not (want.underflowed or want.overflowed or want.flushed)
+    assert main(["round", spec, "--", text]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith(f"{text} -> {want.value!r} (") and "flags=ROUNDED " in line
+
+
 @pytest.mark.parametrize("text,shown", [("inf", "inf"), ("-inf", "-inf"), ("0", "0.0"),
                                         ("-0", "-0.0"), ("0e-999", "0.0"),
                                         ("-0x0p-99999", "-0.0")])
@@ -161,6 +192,14 @@ def test_dot_reports_a_zero_of_the_wrong_sign(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.endswith("MISMATCH\n")
 
 
+def test_dot_rounds_each_literal_once(tmp_path, capsys):
+    # binary64 reads the weight as 1 + 2^-11, a midpoint of 1/5/10/d
+    path = tmp_path / "once.txt"
+    path.write_text("1.00048828125000000001\n1\n")
+    assert main(["dot", "1/5/10/d", str(path)]) == 0
+    assert "fmac8_dot: 1.0009765625 (0x1.0040000000000p+0)" in capsys.readouterr().out
+
+
 def test_dot_missing_file():
     assert main(["dot", "1/5/10/d", str(DATA / "nope.txt")]) == 1
 
@@ -172,6 +211,8 @@ def test_dot_malformed_file(tmp_path):
     bad.write_text("1.0 2.0\n0.5\n")  # length mismatch
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
     bad.write_bytes(b"1.0\n\xff\n")  # not UTF-8
+    assert main(["dot", "1/5/10/d", str(bad)]) == 1
+    bad.write_text("1.0 --5\n0.5 1.0\n")  # a doubled sign
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
     assert main(["dot", "1/5/10/d", str(DATA / "dot_small.txt"), "--chunk", "0"]) == 1
 

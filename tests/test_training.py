@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from fpemu.training import (
     LossScaler,
     StepEnv,
     TrainConfig,
+    build_model,
     gradient_check,
     mse_loss_and_grad,
     parse_config_text,
@@ -147,6 +151,37 @@ def test_batch_size_is_checked_against_the_task_data(task):
     TrainConfig(task=task, batch_size=TASK_SIZES[task])
     with pytest.raises(ValueError, match="^batch_size exceeds dataset size$"):
         TrainConfig(task=task, batch_size=TASK_SIZES[task] + 1)
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_train_config_takes_the_task_defaults(task):
+    assert TrainConfig(task=task) == resolve_config({"task": task})
+    assert TrainConfig(task=task, steps=7).steps == 7
+    assert TrainConfig(task=task, momentum=0.0).momentum == 0.0
+
+
+def test_train_config_refuses_an_unknown_task():
+    with pytest.raises(ValueError, match=r"^unknown task 'nope'; expected one of \(.*\)$"):
+        TrainConfig(task="nope")
+
+
+@pytest.mark.parametrize("task,layers", [
+    ("regression", [("fc0", (1, 16))]),
+    ("mlp_classify", [("fc0", (24, 8)), ("relu0", None), ("fc1", (3, 24))]),
+    ("cnn_classify", [("conv0", (3, 9)), ("relu0", None), ("fc0", (4, 108))]),
+])
+def test_build_model_layers_follow_the_task_layout(task, layers):
+    cfg = TrainConfig(task=task)
+    model = build_model(cfg, build_task_data(task, cfg.seed))
+    assert [(layer.name, layer.W.shape if layer.trainable else None)
+            for layer in model.layers] == layers
+
+
+def test_readme_lists_every_config_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("with `fmt` spelled `format`:", 1)[1].split(". ", 1)[0]
+    keys = ["format" if f.name == "fmt" else f.name for f in dataclasses.fields(TrainConfig)]
+    assert re.findall(r"`(\w+)`", listed) == keys
 
 
 # ── loss scaler ────────────────────────────────────────────────────────
