@@ -75,7 +75,7 @@ def _images_data(rng: np.random.Generator, n: int, layout: tuple[int, ...]):
     protos[3, 2:6, 2:6] = 1.0        # centered square
     imgs = [protos[cls] + rng.standard_normal((n // c, 8, 8)).astype(np.float32) * np.float32(0.25)
             for cls in range(c)]
-    return _shuffled_classes(rng, [a.reshape(n // c, 64) for a in imgs])
+    return _shuffled_classes(rng, [a.reshape(n // c, -1) for a in imgs])
 
 
 @dataclass(frozen=True)

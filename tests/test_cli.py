@@ -143,8 +143,8 @@ def test_round_reads_huge_exponents_without_building_the_power(text, shown, flag
     ("6.1035156250000001e-05", Fraction("6.1035156250000001e-05")),
 ])
 def test_round_rounds_a_literal_once(spec, text, exact, capsys):
-    # binary64 reads each of these as a midpoint or a point of the
-    # format's grid; the command rounds the exact value once, as the oracle
+    # binary64 reads each of these as a midpoint or a point of 1/5/10/d's
+    # grid; the command rounds the exact value once, as the oracle does
     want = round_exact(abs(exact), FpFormat.parse(spec), negative=exact < 0)
     assert want.rounded and not (want.underflowed or want.overflowed or want.flushed)
     assert main(["round", spec, "--", text]) == 0
