@@ -16,13 +16,16 @@ exits 1 on an implementation/oracle mismatch.
 
 Values on the command line may be written as decimals (``0.5``,
 ``6.1e-5``), hex floats (``0x1.8p-5``), powers of two (``2^-24``,
-``-2^10``), or ``inf``/``-inf``/``nan``, with at most one sign.
+``-2^10``), or ``inf``/``-inf``/``nan``, with at most one sign.  After
+the sign a literal is ASCII letters, digits and ``.+-^`` only: no
+underscores, spaces or non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import string
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -41,6 +44,9 @@ __all__ = ["main", "parse_value"]
 
 # what a literal's body, after at most one sign, starts with
 _BODY_STARTS = (*"0123456789.", "inf", "nan")
+# every character a literal's body may hold; int() and float() would also
+# take underscores, inner spaces and non-ASCII digits
+_BODY_CHARS = frozenset(string.ascii_letters + string.digits + ".+-^")
 
 
 class _CliError(Exception):
@@ -67,6 +73,10 @@ def parse_value(text: str) -> float:
         if body[0] == "-":
             sign = -1.0
         body = body[1:]
+    if not _BODY_CHARS.issuperset(body):
+        raise _CliError(
+            f"cannot parse value {text!r}: expected ASCII letters, digits and '.+-^' after the sign"
+        )
     low = body.lower()
     if not low.startswith(_BODY_STARTS):
         raise _CliError(f"cannot parse value {text!r}: expected a digit, '.', inf or nan")

@@ -45,7 +45,7 @@ class FpClass(enum.Enum):
 
 _INF = math.inf
 
-_FMT_RE = re.compile(r"^1/(\d+)/(\d+)/(d|n)$")
+_FMT_RE = re.compile(r"^1/([0-9]+)/([0-9]+)/(d|n)$")  # ASCII digits: \d takes any Unicode digit
 
 
 @dataclass(frozen=True)

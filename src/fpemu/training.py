@@ -16,8 +16,9 @@ plus linear head) while quantizing tensors at well-defined boundaries:
 With ``format=none`` the same code path runs unquantized: rounding
 calls become pass-throughs and every matmul uses binary32 as the target
 format, so a run quantized to 1/8/23/d is bit-identical to the
-unquantized reference by construction.  The unquantized path can also
-run in float64, which exists for finite-difference gradient validation.
+unquantized reference by construction.  Training runs in float32 only;
+:func:`gradient_check` runs the same layers and losses in float64 through
+an exact environment of its own.
 
 Every source of randomness is a seeded ``numpy.random.Generator``, and
 every reduction has a fixed order, so two runs with equal configs
@@ -100,16 +101,11 @@ class TrainConfig:
     divergence_patience: int = 20
     converged_loss: float | None = None
     degraded_loss: float | None = None
-    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         for name, value in task_defaults(self.task).items():  # refuses an unknown task
             if getattr(self, name) is None:
                 setattr(self, name, value)
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-        if self.dtype == "float64" and self.fmt is not None:
-            raise ValueError("float64 runs require format=none")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
         if self.batch_size > TASK_SIZES[self.task]:
@@ -304,7 +300,6 @@ class StepEnv:
     fmt: FpFormat | None
     mode: AccumMode
     chunk: int
-    dtype: type
     sink: TelemetrySink | None = None
     step: int = 0
     record: bool = False
@@ -315,7 +310,7 @@ class StepEnv:
         if self.fmt is not None:
             out = roundfp_array(x, self.fmt)
         else:
-            out = np.asarray(x, dtype=self.dtype)
+            out = np.asarray(x, dtype=np.float32)
         if log and self.sink is not None and self.record:
             self.sink.record(
                 DenormalStats.from_array(
@@ -326,15 +321,10 @@ class StepEnv:
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._product(matmul, a, b)
+        return matmul(a, b, self.fmt or BINARY32, mode=self.mode, chunk=self.chunk)
 
     def matmul_wide(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._product(matmul_wide, a, b)
-
-    def _product(self, kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.fmt is None and self.dtype is np.float64:
-            return a @ b
-        return kernel(a, b, self.fmt or BINARY32, mode=self.mode, chunk=self.chunk)
+        return matmul_wide(a, b, self.fmt or BINARY32, mode=self.mode, chunk=self.chunk)
 
 
 def _ordered_sum_rows(a: np.ndarray) -> np.ndarray:
@@ -363,7 +353,7 @@ def _ordered_sum_flat(a: np.ndarray):
 
 
 class Linear:
-    """Fully connected layer; master weights at the working dtype."""
+    """Fully connected layer; master weights at the model's dtype."""
 
     trainable = True
 
@@ -507,11 +497,11 @@ class Model:
             layer.b = layer.b - step * layer.vb
 
 
-def build_model(cfg: TrainConfig, data: TaskData) -> Model:
+def build_model(cfg: TrainConfig, data: TaskData, dtype=np.float32) -> Model:
     """Layers ``fc0``, ``relu0``, ``fc1``, ... of ``data.layout``'s widths, or for
-    ``cnn_classify`` (pixels, channels, classes), ``conv0``, ``relu0`` and ``fc0``."""
+    ``cnn_classify`` (pixels, channels, classes), ``conv0``, ``relu0`` and ``fc0``;
+    parameters at ``dtype``."""
     rng = np.random.default_rng([cfg.seed, 1])
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
     layers: list = []
     widths = data.layout
     if data.name == "cnn_classify":
@@ -612,6 +602,13 @@ def _loss_and_grad(kind: str, out: np.ndarray, targets: np.ndarray):
     return softmax_ce_loss_and_grad(out, targets)
 
 
+def _forward_and_loss(model: Model, env, data: TaskData, batch):
+    """Quantize the inputs of ``data``'s examples ``batch``, run the model on
+    them and return the loss and its gradient at the model's output."""
+    out = model.forward(env.quantize(data.inputs[batch], "input", Phase.FORWARD_ACTIVATION), env)
+    return _loss_and_grad(data.kind, out, data.targets[batch])
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 
@@ -653,7 +650,6 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     batch_rng = np.random.default_rng([cfg.seed, 2])
     sink = TelemetrySink(run_id=cfg.run_id())
     scaler = cfg.loss_scaler() if cfg.dls else None
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
     n = len(data.inputs)
     per_epoch = n // cfg.batch_size
@@ -673,33 +669,28 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
             if pos == 0:
                 perm = batch_rng.permutation(n)
             idx = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
-            xb = data.inputs[idx]
-            yb = data.targets[idx]
 
             env = StepEnv(
                 fmt=cfg.fmt,
                 mode=cfg.mode,
                 chunk=cfg.chunk,
-                dtype=dtype,
                 sink=sink,
                 step=step,
                 record=(step % cfg.telemetry_interval == 0),
             )
-            xq = env.quantize(xb, "input", Phase.FORWARD_ACTIVATION)
-            out = model.forward(xq, env)
-            loss, dout = _loss_and_grad(data.kind, out, yb)
+            loss, dout = _forward_and_loss(model, env, data, idx)
             loss_f = float(loss)
             scale_now = scaler.scale if scaler is not None else 1.0
 
             if scaler is not None:
-                dout = dout * dtype(scale_now)
+                dout = dout * np.float32(scale_now)
             model.backward(dout, env)
 
             skip = False
             if scaler is not None:
                 grads = model.grads()
                 if all(np.isfinite(g).all() for g in grads):
-                    inv = dtype(1.0 / scaler.scale)
+                    inv = np.float32(1.0 / scaler.scale)
                     for layer in model.trainable_layers():
                         layer.dW = layer.dW * inv
                         layer.db = layer.db * inv
@@ -772,6 +763,18 @@ def _write_artifacts(out_dir: Path, result: TrainResult) -> None:
 # finite-difference gradient validation
 
 
+class _ExactEnv:
+    """StepEnv's interface in float64, without rounding or telemetry."""
+
+    def quantize(self, x: np.ndarray, tensor_id: str, phase: Phase, log: bool = True):
+        return np.asarray(x, dtype=np.float64)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
+
+    matmul_wide = matmul
+
+
 def gradient_check(
     cfg: TrainConfig,
     n_directions: int = 100,
@@ -781,43 +784,28 @@ def gradient_check(
     """Max relative error between analytic and central-difference
     directional derivatives over random unit directions.
 
-    Requires an unquantized float64 config so the finite differences
-    are numerically meaningful; uses the first batch at the initial
-    weights, where gradient magnitudes are healthy.
+    Takes an unquantized config (``format=none``) and builds its model at
+    float64, where the finite differences are numerically meaningful;
+    the layers and losses run in :class:`_ExactEnv`, so ``mode`` and
+    ``chunk`` play no part.  Uses the first batch at the initial weights,
+    where gradient magnitudes are healthy.
     """
-    if cfg.fmt is not None or cfg.dtype != "float64":
-        raise ValueError("gradient_check needs format=none and dtype=float64")
+    if cfg.fmt is not None:
+        raise ValueError("gradient_check needs format=none")
     data = build_task_data(cfg.task, cfg.seed)
-    model = build_model(cfg, data)
-    env = StepEnv(fmt=None, mode=cfg.mode, chunk=cfg.chunk, dtype=np.float64)
-    xb = data.inputs[: cfg.batch_size]
-    yb = data.targets[: cfg.batch_size]
+    model = build_model(cfg, data, dtype=np.float64)
+    env = _ExactEnv()
+    batch = slice(cfg.batch_size)
 
-    base = [p.copy() for p in model.params()]
-    shapes = [p.shape for p in base]
-    sizes = [p.size for p in base]
-    flat0 = np.concatenate([p.ravel() for p in base])
-
-    def unflatten(flat: np.ndarray) -> list[np.ndarray]:
-        arrays = []
-        pos = 0
-        for shape, size in zip(shapes, sizes):
-            arrays.append(flat[pos:pos + size].reshape(shape))
-            pos += size
-        return arrays
+    flat0 = np.concatenate([p.ravel() for p in model.params()])
+    splits = np.cumsum([p.size for p in model.params()])[:-1]
 
     def loss_at(flat: np.ndarray) -> float:
-        model.set_params(unflatten(flat))
-        xq = env.quantize(xb, "input", Phase.FORWARD_ACTIVATION)
-        out = model.forward(xq, env)
-        loss, _ = _loss_and_grad(data.kind, out, yb)
-        return float(loss)
+        model.set_params(np.split(flat, splits))  # set_params restores the shapes
+        return float(_forward_and_loss(model, env, data, batch)[0])
 
-    # analytic gradient at the base point
-    model.set_params(unflatten(flat0))
-    xq = env.quantize(xb, "input", Phase.FORWARD_ACTIVATION)
-    out = model.forward(xq, env)
-    _, dout = _loss_and_grad(data.kind, out, yb)
+    # analytic gradient at the initial weights
+    _, dout = _forward_and_loss(model, env, data, batch)
     model.backward(dout, env)
     grad_flat = np.concatenate([g.ravel() for g in model.grads()])
 
@@ -830,5 +818,4 @@ def gradient_check(
         an = float(grad_flat @ u)
         rel = abs(fd - an) / max(abs(an), 1e-12)
         worst = max(worst, rel)
-    model.set_params(unflatten(flat0))
     return worst

@@ -641,8 +641,7 @@ def test_c09_determinism(tmp_path):
 def test_c10_gradient_check():
     worsts = {}
     for task in TASKS:
-        cfg = resolve_config({"task": task, "format": "none",
-                              "dtype": "float64"})
+        cfg = resolve_config({"task": task, "format": "none"})
         worsts[task] = gradient_check(cfg, n_directions=100)
     ok = all(v <= 1e-4 for v in worsts.values())
     detail = ", ".join(f"{k}: {v:.3e}" for k, v in worsts.items())

@@ -1,10 +1,10 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
 import pathlib
 import tempfile
+import typing
 from fractions import Fraction
 
 import pytest
@@ -58,7 +58,10 @@ def test_parse_value_nan():
 
 
 @pytest.mark.parametrize("text", ["", "2^", "2^x", "0x", "zero", "1..2",
-                                  "--5", "+-5", "- 5", "--inf"])
+                                  "--5", "+-5", "- 5", "--inf",
+                                  # int() and float() read these, the grammar does not
+                                  "2^ 5", "2^\u0665", "1\u0665", "1_5", "1e1_0",
+                                  "1.5e\u0663", "2^1_0"])
 def test_parse_value_rejects(text):
     with pytest.raises(_CliError):
         parse_value(text)
@@ -96,6 +99,7 @@ def test_round_command(capsys):
     assert "UNDERFLOWED_TO_ZERO" in out
     assert "0x3c00" in out  # encoding of 1.0
     assert main(["round", "1/5/10/d", "bogus"]) == 1
+    assert main(["round", "1/5/10/d", "1\u0665"]) == 1   # an Arabic-Indic five
 
 
 def test_round_flush_format(capsys):
@@ -256,6 +260,10 @@ def test_train_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 1
     cfg.write_bytes(b"task = regression\n\xff\n")  # not UTF-8
     assert main(["train", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+    cfg.write_text("task = regression\ndtype = float32\n")  # older config.txt files end so
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("fpemu: error: unknown config keys ['dtype']")
 
 
 def test_train_rejects_bad_set():
@@ -384,9 +392,9 @@ def test_usage_errors_and_help(capsys):
 
 # ── fuzzing ────────────────────────────────────────────────────────────
 
-# config keys by the type of their TrainConfig default
-_KEYS_OF = {t: {f.name for f in dataclasses.fields(training.TrainConfig)
-                if type(f.default) is t} for t in (int, float)}
+# config keys by their declared TrainConfig type, an optional int counted as int
+_KEYS_OF = {t: {name for name, hint in typing.get_type_hints(training.TrainConfig).items()
+                if hint in (t, t | None)} for t in (int, float)}
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _FORMATS = st.one_of(
     st.sampled_from(["1/5/10/d", "1/6/9/n", "1/8/7/n", "1/2/1/d", "1/8/23/d"]),
@@ -400,7 +408,6 @@ _TYPED = {  # values of the right type for each config key, bad ones included
     "format": _FORMATS,
     "mode": st.sampled_from(["mac", "macs", "fmac", "fmacs", "fmac8", "FMAC", "x"]),
     "dls": st.sampled_from(["on", "off", "yes", "maybe"]),
-    "dtype": st.sampled_from(["float32", "float64", "float16"]),
     **{key: st.integers(-2, 40).map(str) for key in sorted(_KEYS_OF[int])},
     **{key: st.one_of(st.sampled_from(["0", "0.5", "1", "2", "0.1", "1e9", "1e-30", "nan",
                                        "inf", "-1", "65536", "2^-10"]),

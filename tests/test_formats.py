@@ -82,6 +82,7 @@ def test_str_parse_round_trip():
         "1/5/10/x",
         "1/5/10",
         "1-5-10-d",
+        "1/\u0665/\u0661\u0660/d",   # Arabic-Indic digits for 1/5/10/d
         "",
     ],
 )

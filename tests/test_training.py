@@ -75,6 +75,9 @@ def test_resolve_config_defaults_and_overrides():
 def test_resolve_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         resolve_config({"task": "regression", "learning_rate": "0.1"})
+    # float64 training is gone with its key; gradient_check owns that precision
+    with pytest.raises(ValueError, match=r"^unknown config keys \['dtype'\]; known keys: "):
+        resolve_config({"task": "regression", "dtype": "float64"})
     with pytest.raises(ValueError):
         resolve_config({"task": "nope"})
     with pytest.raises(ValueError):
@@ -100,7 +103,6 @@ def test_artifact_text_forms_are_pinned(tmp_path):
         "backoff_factor=0.5\nmin_scale=1.0\nmax_scale=16777216.0\nsteps=500\n"
         "batch_size=32\nlr=0.1\nmomentum=0.9\nseed=7\ntelemetry_interval=1\n"
         "divergence_patience=20\nconverged_loss=0.05\ndegraded_loss=0.5\n"
-        "dtype=float32\n"
     )
     assert TrainConfig().to_text().startswith(
         "task=regression\nformat=none\nmode=fmacs\nchunk=8\ndls=off\n")
@@ -131,10 +133,6 @@ def test_artifact_text_forms_are_pinned(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(task="regression", dtype="float16")
-    with pytest.raises(ValueError):
-        TrainConfig(task="regression", fmt=HALF, dtype="float64")
     with pytest.raises(ValueError):
         TrainConfig(task="regression", steps=0)
     with pytest.raises(ValueError, match="^seed must be non-negative$"):
@@ -241,7 +239,7 @@ def test_linear_forward_quantization_chain():
     layer = Linear("t", 2, 1, rng, np.float32)
     layer.W = np.array([[1.0, 2.0**-12]], dtype=np.float32)
     layer.b = np.array([2.0**-12], dtype=np.float32)
-    env = StepEnv(fmt=HALF, mode=AccumMode.FMACS, chunk=8, dtype=np.float32)
+    env = StepEnv(fmt=HALF, mode=AccumMode.FMACS, chunk=8)
     x = np.array([[1.0, 1.0]], dtype=np.float32)
 
     out = layer.forward(x, env)
@@ -251,7 +249,7 @@ def test_linear_forward_quantization_chain():
     assert out.shape == (1, 1)
     assert out[0, 0] == 1.0
 
-    env_none = StepEnv(fmt=None, mode=AccumMode.FMACS, chunk=8, dtype=np.float32)
+    env_none = StepEnv(fmt=None, mode=AccumMode.FMACS, chunk=8)
     out_none = layer.forward(x, env_none)
     assert out_none[0, 0] == np.float32(1.0 + 2.0**-11)
 
@@ -259,7 +257,7 @@ def test_linear_forward_quantization_chain():
 def test_linear_backward_shapes_and_mirror():
     rng = np.random.default_rng(0)
     layer = Linear("t", 3, 2, rng, np.float32)
-    env = StepEnv(fmt=HALF, mode=AccumMode.FMACS, chunk=8, dtype=np.float32)
+    env = StepEnv(fmt=HALF, mode=AccumMode.FMACS, chunk=8)
     x = roundfp_array(rng.standard_normal((4, 3)).astype(np.float32), HALF)
     layer.forward(x, env)
     dy = rng.standard_normal((4, 2)).astype(np.float32)
@@ -376,13 +374,6 @@ def test_outcome_thresholds():
     assert hopeless.outcome == "diverged"
 
 
-def test_float64_reference_path_runs():
-    cfg = resolve_config({"task": "regression", "format": "none",
-                          "dtype": "float64", "steps": "20"})
-    result = train(cfg)
-    assert math.isfinite(result.final_loss)
-
-
 # ── losses and gradients ───────────────────────────────────────────────
 
 
@@ -460,12 +451,19 @@ def test_det_exp_and_log_accuracy():
 
 
 def test_gradient_check_small():
-    cfg = resolve_config({"task": "regression", "format": "none",
-                          "dtype": "float64"})
+    cfg = resolve_config({"task": "regression", "format": "none"})
     worst = gradient_check(cfg, n_directions=10)
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_gradient_check_takes_any_unquantized_config(task):
+    # training runs in float32 only; gradient_check builds its own float64 model
+    assert gradient_check(TrainConfig(task=task), n_directions=2) < 1e-4
+
+
 def test_gradient_check_rejects_quantized_configs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gradient_check needs format=none$"):
         gradient_check(resolve_config({"task": "regression", "format": "1/5/10/d"}))
+    with pytest.raises(ValueError, match="^gradient_check needs format=none$"):
+        gradient_check(TrainConfig(task="mlp_classify", fmt=FpFormat.parse("1/8/23/d")))
