@@ -75,7 +75,7 @@ def test_resolve_config_defaults_and_overrides():
 def test_resolve_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         resolve_config({"task": "regression", "learning_rate": "0.1"})
-    # float64 training is gone with its key; gradient_check owns that precision
+    # no dtype key: training runs in float32, gradient_check in float64
     with pytest.raises(ValueError, match=r"^unknown config keys \['dtype'\]; known keys: "):
         resolve_config({"task": "regression", "dtype": "float64"})
     with pytest.raises(ValueError):
