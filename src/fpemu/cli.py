@@ -14,18 +14,13 @@ Exit codes: 0 success, 1 usage or data error.  ``train`` additionally
 maps the run outcome: 0 converged, 2 degraded, 3 diverged.  ``dot``
 exits 1 on an implementation/oracle mismatch.
 
-Values on the command line may be written as decimals (``0.5``,
-``6.1e-5``), hex floats (``0x1.8p-5``), powers of two (``2^-24``,
-``-2^10``), or ``inf``/``-inf``/``nan``, with at most one sign.  After
-the sign a literal is ASCII letters, digits and ``.+-^`` only: no
-underscores, spaces or non-ASCII digits.
+Numbers are read in the one grammar of :mod:`fpemu.formats`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import string
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -33,21 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import BINARY32, FpFormat, decode16, encode16
+from .formats import BINARY32, FpFormat, decode16, encode16, parse_int, parse_value
 from .instructions import AccumMode, fmac, fmac8_dot, fmacs, mac, macs
 from .oracle import dot_oracle, fmac_oracle, round_float
-from .rounding import roundfp
+from .rounding import _same_value, roundfp
 from .telemetry import RunSummary
 from .training import parse_config_text, resolve_config, train
 
 __all__ = ["main", "parse_value"]
-
-# what a literal's body, after at most one sign, starts with
-_BODY_STARTS = (*"0123456789.", "inf", "nan")
-# every character a literal's body may hold; int() and float() would also
-# take underscores, inner spaces and non-ASCII digits
-_BODY_CHARS = frozenset(string.ascii_letters + string.digits + ".+-^")
-
 
 class _CliError(Exception):
     """User-facing error: message on stderr, exit status 1."""
@@ -62,52 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def parse_value(text: str) -> float:
-    """Parse a numeric literal in the CLI grammar (see module docstring)."""
-    t = text.strip()
-    if not t:
-        raise _CliError("empty value")
-    sign = 1.0
-    body = t
-    if body[0] in "+-":
-        if body[0] == "-":
-            sign = -1.0
-        body = body[1:]
-    if not _BODY_CHARS.issuperset(body):
-        raise _CliError(
-            f"cannot parse value {text!r}: expected ASCII letters, digits and '.+-^' after the sign"
-        )
-    low = body.lower()
-    if not low.startswith(_BODY_STARTS):
-        raise _CliError(f"cannot parse value {text!r}: expected a digit, '.', inf or nan")
-    if low in ("inf", "infinity"):
-        return sign * math.inf
-    if low == "nan":
-        return math.nan
-    try:
-        if low.startswith("2^"):
-            return sign * math.ldexp(1.0, int(low[2:], 10))
-        if low.startswith("0x"):
-            return sign * float.fromhex(low)
-        return sign * float(low)
-    except OverflowError:  # beyond binary64, as float() reads 1e400
-        return sign * math.inf
-    except ValueError as exc:
-        raise _CliError(f"cannot parse value {text!r}: {exc}") from None
-
-
 def _parse_format(spec: str) -> FpFormat:
     try:
         return FpFormat.parse(spec)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-
-
-def _same_float(a: float, b: float) -> bool:
-    """Bitwise equality, sign of zero included, with all NaNs equal."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def _float_str(x: float) -> str:
@@ -168,24 +115,30 @@ def _exact_value(text: str) -> float | Fraction:
     nearest to it: every format's range lies far inside binary64's, so
     that number rounds to the literal's result, with the literal's flags.
     Infinities, NaN and zeros are returned as read."""
-    x = parse_value(text)
+    try:
+        x = parse_value(text)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     low = text.strip().lstrip("+-").lower()
     if math.isnan(x) or low in ("inf", "infinity"):
         return x
-    # the literal is mantissa * 2^scale; no power is built before x shows it is small
+    # the literal is mantissa * base^exp; the exponent is not read, nor a
+    # power built, before x shows that the literal is within binary64's range
     if low.startswith("2^"):
-        mantissa, scale = 1, int(low[2:])
+        mantissa, base, exp = 1, 2, low[2:]
     elif low.startswith("0x"):
         digits, _, exp = low[2:].partition("p")
         whole, _, frac = digits.partition(".")
-        mantissa, scale = int(whole + frac or "0", 16), int(exp or "0") - 4 * len(frac)
+        mantissa, base = Fraction(int(whole + frac or "0", 16), 16 ** len(frac)), 2
     else:
-        mantissa, scale = Decimal(low), 0
+        digits, _, exp = low.partition("e")
+        mantissa, base = Fraction(Decimal(digits)), 10
     if not mantissa:
         return x  # a zero, signed as written
     if math.isinf(x) or x == 0:  # beyond binary64's range
         return math.copysign(sys.float_info.max if x else math.ulp(0.0), x)
-    exact = Fraction(mantissa) * Fraction(2) ** scale
+    # Decimal reads an exponent of any length; int() stops at 4300 digits
+    exact = mantissa * Fraction(base) ** int(Decimal(exp or "0"))
     return -exact if x < 0 else exact
 
 
@@ -224,15 +177,19 @@ def _read_vector_file(path: Path) -> tuple[list[float | Fraction], list[float | 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     fmt = _parse_format(args.format)
-    if args.chunk < 1:
+    try:
+        chunk = parse_int(args.chunk)
+    except ValueError as exc:
+        raise _CliError(f"--chunk: {exc}") from None
+    if chunk < 1:
         raise _CliError("--chunk must be positive")
     w, x = _read_vector_file(Path(args.file))
     wq = [roundfp(v, fmt).value.surrogate for v in w]
     xq = [roundfp(v, fmt).value.surrogate for v in x]
-    got = fmac8_dot(wq, xq, fmt, chunk=args.chunk)
-    want = dot_oracle(wq, xq, fmt, chunk=args.chunk)
-    match = _same_float(got, want)
-    print(f"n={len(wq)} chunk={args.chunk} format={fmt}")
+    got = fmac8_dot(wq, xq, fmt, chunk=chunk)
+    want = dot_oracle(wq, xq, fmt, chunk=chunk)
+    match = _same_value(got, want)
+    print(f"n={len(wq)} chunk={chunk} format={fmt}")
     print(f"fmac8_dot: {_float_str(got)}")
     print(f"oracle:    {_float_str(want)}")
     print("MATCH" if match else "MISMATCH")
@@ -366,7 +323,7 @@ def _cmd_self_test(args: argparse.Namespace) -> int:
     xs2 = [roundfp(v, half).value.surrogate for v in rng.standard_normal(64)]
     got = fmac8_dot(ws, xs2, half)
     want = dot_oracle(ws, xs2, half)
-    check("fmac8_dot agrees with the exact oracle on a random vector", _same_float(got, want))
+    check("fmac8_dot agrees with the exact oracle on a random vector", _same_value(got, want))
 
     got_f = fmac(2.0**-24, 1.0, 2.0**-24, half)
     want_f = fmac_oracle(2.0**-24, 1.0, 2.0**-24, half)
@@ -402,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="chunked dot product vs the exact oracle")
     p.add_argument("format", metavar="FORMAT")
     p.add_argument("file", metavar="FILE", help="two data lines: weights then inputs")
-    p.add_argument("--chunk", type=int, default=8)
+    p.add_argument("--chunk", default="8")
     p.set_defaults(func=_cmd_dot)
 
     p = sub.add_parser("train", help="run a training job")

@@ -6,6 +6,13 @@ A format is written ``1/e/p/d``: one sign bit, ``e`` exponent bits,
 ``1/8/7/n`` is bfloat16 without denormals, and ``1/8/23/d`` is binary32
 itself.  Values of any such format are carried exactly in Python floats
 (every representable magnitude fits in binary32, hence in binary64).
+
+Numbers read from the command line, config files and artifacts share one
+grammar.  :func:`parse_value` reads decimals (``0.5``, ``6.1e-5``), hex
+floats (``0x1.8p-5``), powers of two (``2^-24``, ``-2^10``), or ``inf``/
+``-inf``/``nan``, with at most one sign, after which only ASCII letters,
+digits and ``.+-^`` may follow: no underscores, spaces or non-ASCII
+digits.  :func:`parse_int` reads ASCII decimal digits after at most one sign.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import enum
 import functools
 import math
 import re
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,8 @@ __all__ = [
     "decode16",
     "encode16_array",
     "decode16_array",
+    "parse_value",
+    "parse_int",
 ]
 
 
@@ -46,6 +56,57 @@ class FpClass(enum.Enum):
 _INF = math.inf
 
 _FMT_RE = re.compile(r"^1/([0-9]+)/([0-9]+)/(d|n)$")  # ASCII digits: \d takes any Unicode digit
+
+# what a literal's body, after at most one sign, starts with
+_BODY_STARTS = (*"0123456789.", "inf", "nan")
+# every character a literal's body may hold; int() and float() would also
+# take underscores, inner spaces and non-ASCII digits
+_BODY_CHARS = frozenset(string.ascii_letters + string.digits + ".+-^")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_value(text: str) -> float:
+    """Parse a numeric literal in the shared grammar (see module docstring)."""
+    t = text.strip()
+    if not t:
+        raise ValueError("empty value")
+    sign = 1.0
+    body = t
+    if body[0] in "+-":
+        if body[0] == "-":
+            sign = -1.0
+        body = body[1:]
+    if not _BODY_CHARS.issuperset(body):
+        raise ValueError(
+            f"cannot parse value {text!r}: expected ASCII letters, digits and '.+-^' after the sign"
+        )
+    low = body.lower()
+    if not low.startswith(_BODY_STARTS):
+        raise ValueError(f"cannot parse value {text!r}: expected a digit, '.', inf or nan")
+    if low in ("inf", "infinity"):
+        return sign * math.inf
+    if low == "nan":
+        return math.nan
+    try:
+        if low.startswith("2^"):
+            return sign * math.ldexp(1.0, int(low[2:], 10))
+        if low.startswith("0x"):
+            return sign * float.fromhex(low)
+        return sign * float(low)
+    except OverflowError:  # beyond binary64, as float() reads 1e400
+        return sign * math.inf
+    except ValueError as exc:
+        raise ValueError(f"cannot parse value {text!r}: {exc}") from None
+
+
+def parse_int(text: str) -> int:
+    """Parse ASCII decimal digits after at most one sign."""
+    t = text.strip()
+    if not _INT_RE.fullmatch(t):
+        raise ValueError(
+            f"cannot parse integer {text!r}: expected ASCII digits after at most one sign"
+        )
+    return int(t)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import FpFormat, class_counts
+from .formats import FpFormat, class_counts, parse_int, parse_value
 
 __all__ = ["Phase", "DenormalStats", "RunSummary", "TelemetrySink"]
 
@@ -44,14 +44,6 @@ class Phase(enum.Enum):
     ACTIVATION_GRADIENT = "activation_gradient"
 
 
-def _phase_str(phase) -> str:
-    if isinstance(phase, Phase):
-        return phase.value
-    if phase is None:
-        return ""
-    return str(phase)
-
-
 @dataclass(frozen=True)
 class DenormalStats:
     """Class counts for one tensor at one step."""
@@ -67,10 +59,10 @@ class DenormalStats:
 
     @classmethod
     def from_array(
-        cls, values: np.ndarray, fmt: FpFormat, *, tensor_id: str, phase, step: int
+        cls, values: np.ndarray, fmt: FpFormat, *, tensor_id: str, phase: Phase, step: int
     ) -> "DenormalStats":
         counts = dict(zip(_COUNT_COLUMNS, class_counts(values, fmt)))
-        return cls(tensor_id=tensor_id, phase=_phase_str(phase), step=step, **counts)
+        return cls(tensor_id=tensor_id, phase=phase.value, step=step, **counts)
 
     @property
     def total(self) -> int:
@@ -217,10 +209,10 @@ class TelemetrySink:
                 stats = DenormalStats(
                     tensor_id=row["tensor_id"],
                     phase=row["phase"],
-                    step=int(row["step"]),
-                    **{c: int(row[c]) for c in _COUNT_COLUMNS},
+                    step=parse_int(row["step"]),
+                    **{c: parse_int(row[c]) for c in _COUNT_COLUMNS},
                 )
-                declared = float(row["fraction"])
+                declared = parse_value(row["fraction"])
                 if declared != stats.fraction_denormal:
                     raise ValueError(
                         f"fraction column disagrees with counts at {stats.key()}"

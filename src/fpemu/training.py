@@ -27,7 +27,6 @@ produce byte-identical output files.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -36,7 +35,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .formats import BINARY32, FpFormat
+from .formats import BINARY32, FpFormat, parse_int, parse_value
 from .instructions import AccumMode, matmul, matmul_wide
 from .rounding import roundfp_array
 from .tasks import TASK_SIZES, TaskData, build_task_data, task_defaults
@@ -123,7 +122,18 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.dls:
-            self.loss_scaler()  # refuses a bad scale schedule before any run starts
+            for name in ("init_scale", "growth_factor", "backoff_factor", "min_scale", "max_scale"):
+                value = getattr(self, name)
+                if value <= 0 or not float(math.log2(value)).is_integer():
+                    raise ValueError(f"{name} must be a positive power of two, got {value}")
+            if self.growth_factor <= 1:
+                raise ValueError("growth_factor must exceed 1")
+            if not 0 < self.backoff_factor < 1:
+                raise ValueError("backoff_factor must be in (0, 1)")
+            if self.min_scale > self.init_scale or self.init_scale > self.max_scale:
+                raise ValueError("need min_scale <= init_scale <= max_scale")
+            if self.growth_interval < 1:
+                raise ValueError("growth_interval must be positive")
 
     @property
     def fmt_name(self) -> str:
@@ -139,10 +149,6 @@ class TrainConfig:
         return "".join(
             f"{_config_key(f.name)}={_render(getattr(self, f.name))}\n" for f in fields(self)
         )
-
-    def loss_scaler(self) -> LossScaler:
-        """A fresh scaler on this config's schedule; raises if the schedule is bad."""
-        return LossScaler(**{name: getattr(self, name) for name in _SCALER_KEYS})
 
 
 def _config_key(name: str) -> str:
@@ -199,8 +205,8 @@ def _parse_format(raw: str) -> FpFormat | None:
 
 # declared type of a field -> parser of its config value
 _PARSERS = {
-    bool: _parse_bool, int: int, float: float, str: str, AccumMode: AccumMode.parse,
-    FpFormat | None: _parse_format, int | None: int, float | None: float,
+    bool: _parse_bool, int: parse_int, float: parse_value, str: str, AccumMode: AccumMode.parse,
+    FpFormat | None: _parse_format, int | None: parse_int, float | None: parse_value,
 }
 # config key -> (TrainConfig field, parser of its value)
 _CONFIG_FIELDS = {_config_key(n): (n, _PARSERS[t]) for n, t in get_type_hints(TrainConfig).items()}
@@ -225,68 +231,32 @@ def resolve_config(entries: dict[str, str]) -> TrainConfig:
 class LossScaler:
     """Power-of-two dynamic loss scale with grow/backoff bookkeeping.
 
-    The scale and both factors must be powers of two so that scaling
-    and unscaling are exact float operations (barring overflow and
+    The schedule is read from a :class:`TrainConfig`, whose checks make
+    the scale and both factors powers of two, so that scaling and
+    unscaling are exact float operations (barring overflow and
     underflow, which the skip logic is there to catch).
     """
 
-    def __init__(
-        self,
-        init_scale: float = 2.0**15,
-        growth_interval: int = 2000,
-        growth_factor: float = 2.0,
-        backoff_factor: float = 0.5,
-        min_scale: float = 1.0,
-        max_scale: float = 2.0**24,
-    ) -> None:
-        for name, value in (
-            ("init_scale", init_scale),
-            ("growth_factor", growth_factor),
-            ("backoff_factor", backoff_factor),
-            ("min_scale", min_scale),
-            ("max_scale", max_scale),
-        ):
-            if value <= 0 or not float(math.log2(value)).is_integer():
-                raise ValueError(f"{name} must be a positive power of two, got {value}")
-        if growth_factor <= 1:
-            raise ValueError("growth_factor must exceed 1")
-        if not 0 < backoff_factor < 1:
-            raise ValueError("backoff_factor must be in (0, 1)")
-        if min_scale > init_scale or init_scale > max_scale:
-            raise ValueError("need min_scale <= init_scale <= max_scale")
-        if growth_interval < 1:
-            raise ValueError("growth_interval must be positive")
-        self._scale = float(init_scale)
-        self.growth_interval = growth_interval
-        self.growth_factor = float(growth_factor)
-        self.backoff_factor = float(backoff_factor)
-        self.min_scale = float(min_scale)
-        self.max_scale = float(max_scale)
-        self._good_steps = 0
-
-    @property
-    def scale(self) -> float:
-        return self._scale
-
-    @property
-    def good_steps(self) -> int:
-        return self._good_steps
+    def __init__(self, cfg: TrainConfig) -> None:
+        self.scale = float(cfg.init_scale)
+        self.growth_interval = cfg.growth_interval
+        self.growth_factor = float(cfg.growth_factor)
+        self.backoff_factor = float(cfg.backoff_factor)
+        self.min_scale = float(cfg.min_scale)
+        self.max_scale = float(cfg.max_scale)
+        self.good_steps = 0
 
     def backoff(self) -> None:
         """Non-finite gradients seen: halve the scale, reset the streak."""
-        self._scale = max(self._scale * self.backoff_factor, self.min_scale)
-        self._good_steps = 0
+        self.scale = max(self.scale * self.backoff_factor, self.min_scale)
+        self.good_steps = 0
 
     def advance(self) -> None:
         """A clean step: count it, grow the scale when the streak is long."""
-        self._good_steps += 1
-        if self._good_steps >= self.growth_interval:
-            self._scale = min(self._scale * self.growth_factor, self.max_scale)
-            self._good_steps = 0
-
-
-# the TrainConfig fields that configure the loss scaler
-_SCALER_KEYS = tuple(inspect.signature(LossScaler).parameters)
+        self.good_steps += 1
+        if self.good_steps >= self.growth_interval:
+            self.scale = min(self.scale * self.growth_factor, self.max_scale)
+            self.good_steps = 0
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +619,7 @@ def train(cfg: TrainConfig, out_dir: str | os.PathLike | None = None) -> TrainRe
     model = build_model(cfg, data)
     batch_rng = np.random.default_rng([cfg.seed, 2])
     sink = TelemetrySink(run_id=cfg.run_id())
-    scaler = cfg.loss_scaler() if cfg.dls else None
+    scaler = LossScaler(cfg) if cfg.dls else None
 
     n = len(data.inputs)
     per_epoch = n // cfg.batch_size

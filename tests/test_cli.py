@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpemu import training
-from fpemu.cli import _CliError, main, parse_value
+from fpemu.cli import main, parse_value
 from fpemu.formats import FpFormat
 from fpemu.oracle import round_exact
 from fpemu.rounding import RoundFlag, roundfp
@@ -63,7 +63,7 @@ def test_parse_value_nan():
                                   "2^ 5", "2^\u0665", "1\u0665", "1_5", "1e1_0",
                                   "1.5e\u0663", "2^1_0"])
 def test_parse_value_rejects(text):
-    with pytest.raises(_CliError):
+    with pytest.raises(ValueError, match="^(empty value|cannot parse value)"):
         parse_value(text)
 
 
@@ -131,6 +131,16 @@ def test_round_reports_literals_beyond_binary64(spec, text, exact, capsys):
     ("1e-999999999", "0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
     ("-2^-999999999", "-0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
     ("0x1p999999999", "inf", "ROUNDED|OVERFLOWED_TO_INF"),
+    # exponents of 19 and more digits, beyond what Decimal reads
+    ("1e9999999999999999999", "inf", "ROUNDED|OVERFLOWED_TO_INF"),
+    ("-1e99999999999999999999", "-inf", "ROUNDED|OVERFLOWED_TO_INF"),
+    ("1e-9999999999999999999", "0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
+    ("-1e-9999999999999999999", "-0.0", "ROUNDED|UNDERFLOWED_TO_ZERO"),
+    ("0e99999999999999999999", "0.0", "EXACT"),
+    ("-0.0e-99999999999999999999", "-0.0", "EXACT"),
+    # an exponent of 5001 digits, beyond what int() reads, of a value in range
+    pytest.param("1e" + "0" * 5000 + "1", "10.0", "EXACT", id="1e0...01"),
+    pytest.param("0x1p-" + "0" * 5000 + "1", "0.5", "EXACT", id="0x1p-0...01"),
 ])
 def test_round_reads_huge_exponents_without_building_the_power(text, shown, flags, capsys):
     assert main(["round", "1/5/10/d", "--", text]) == 0
@@ -218,7 +228,8 @@ def test_dot_malformed_file(tmp_path):
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
     bad.write_text("1.0 --5\n0.5 1.0\n")  # a doubled sign
     assert main(["dot", "1/5/10/d", str(bad)]) == 1
-    assert main(["dot", "1/5/10/d", str(DATA / "dot_small.txt"), "--chunk", "0"]) == 1
+    for chunk in ["0", "\u0668", "1_0"]:  # zero, an Arabic-Indic eight, an underscore
+        assert main(["dot", "1/5/10/d", str(DATA / "dot_small.txt"), "--chunk", chunk]) == 1
 
 
 def test_train_exit_codes(tmp_path, capsys):
@@ -266,6 +277,15 @@ def test_train_config_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fpemu: error: unknown config keys ['dtype']")
 
 
+def test_train_reads_config_numbers_in_the_cli_grammar(tmp_path, capsys):
+    argv = ["train", "--task", "regression", "--out", str(tmp_path), "--set", "steps=2",
+            "--set", "dls=on", "--set", "init_scale=2^15", "--set", "lr=0x1p-4"]
+    assert main(argv) != 1
+    (run_dir,) = tmp_path.iterdir()
+    text = (run_dir / "config.txt").read_text()
+    assert "\ninit_scale=32768.0\n" in text and "\nlr=0.0625\n" in text
+
+
 def test_train_rejects_bad_set():
     assert main(["train", "--task", "regression", "--set", "notakey=1"]) == 1
     assert main(["train", "--task", "regression", "--set", "nodelimiter"]) == 1
@@ -281,6 +301,9 @@ def test_train_rejects_bad_set():
     ["dls=on", "init_scale=3"],
     ["dls=on", "growth_interval=0"],
     ["seed=-1"],
+    ["steps=1_0"],
+    ["lr=0.0\u0665"],
+    ["seed=1\u0663"],
 ], ids=" ".join)
 def test_train_rejects_bad_settings_before_training(monkeypatch, capsys, sets):
     def unreachable(*args):
@@ -401,7 +424,8 @@ _FORMATS = st.one_of(
     st.sampled_from(["none", "1/9/6/d", "1/5/10"]), _TEXT)
 _VALUES = st.one_of(
     st.sampled_from(["0", "-0", "1", "-1", "0.5", "8", "1e400", "-2^-24", "2^99999",
-                     "0x1p-99999", "0x1.8p-5", "nan", "inf", "-inf", "65504", "1e-45"]),
+                     "0x1p-99999", "0x1.8p-5", "nan", "inf", "-inf", "65504", "1e-45",
+                     "1e99999999999999999999", "1_0", "\u0663"]),
     st.floats().map(repr), st.integers(-(2**70), 2**70).map(str), _TEXT)
 _TYPED = {  # values of the right type for each config key, bad ones included
     "task": st.sampled_from(["regression", "mlp_classify", "cnn_classify", "nope"]),

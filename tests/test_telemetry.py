@@ -145,6 +145,21 @@ def test_csv_read_rejects_inconsistent_fraction(tmp_path):
         TelemetrySink.read_csv(path)
 
 
+@pytest.mark.parametrize("column,text", [("step", "1_0"), ("n_zero", "\u0663"),
+                                         ("fraction", "0.5\u0660")])
+def test_csv_read_rejects_numbers_outside_the_grammar(tmp_path, column, text):
+    sink = TelemetrySink(run_id="r")
+    sink.record(stats([0.0, 1.0], step=0))
+    path = tmp_path / "telemetry.csv"
+    sink.write_csv(path)
+    header, row = path.read_text().splitlines()
+    parts = row.split(",")
+    parts[CSV_COLUMNS.index(column)] = text
+    path.write_text("\n".join([header, ",".join(parts)]) + "\n")
+    with pytest.raises(ValueError, match="^cannot parse"):
+        TelemetrySink.read_csv(path)
+
+
 def test_csv_read_rejects_wrong_header(tmp_path):
     path = tmp_path / "telemetry.csv"
     path.write_text("nope,columns\n")

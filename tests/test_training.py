@@ -185,18 +185,24 @@ def test_readme_lists_every_config_key():
 # ── loss scaler ────────────────────────────────────────────────────────
 
 
+def _scaler(**schedule) -> LossScaler:
+    return LossScaler(TrainConfig(task="regression", dls=True, **schedule))
+
+
 def test_scaler_requires_powers_of_two():
     with pytest.raises(ValueError):
-        LossScaler(init_scale=3.0)
+        _scaler(init_scale=3.0)
     with pytest.raises(ValueError):
-        LossScaler(backoff_factor=0.4)
+        _scaler(backoff_factor=0.4)
     with pytest.raises(ValueError):
-        LossScaler(min_scale=2.0**16, init_scale=2.0**15)
-    LossScaler(init_scale=1.0, min_scale=1.0)
+        _scaler(min_scale=2.0**16, init_scale=2.0**15)
+    _scaler(init_scale=1.0, min_scale=1.0)
+    # loss.csv writes the scale's repr, a float even when the config holds ints
+    assert repr(_scaler(init_scale=1024, max_scale=2**20).scale) == "1024.0"
 
 
 def test_scaler_backoff_and_floor():
-    s = LossScaler(init_scale=4.0, min_scale=1.0, growth_interval=100)
+    s = _scaler(init_scale=4.0, min_scale=1.0, growth_interval=100)
     s.backoff()
     assert s.scale == 2.0
     s.backoff()
@@ -207,7 +213,7 @@ def test_scaler_backoff_and_floor():
 
 
 def test_scaler_growth_and_cap():
-    s = LossScaler(init_scale=2.0, growth_interval=3, max_scale=8.0)
+    s = _scaler(init_scale=2.0, growth_interval=3, max_scale=8.0)
     for _ in range(3):
         s.advance()
     assert s.scale == 4.0
@@ -222,7 +228,7 @@ def test_scaler_growth_and_cap():
 
 
 def test_scaler_backoff_resets_growth_streak():
-    s = LossScaler(init_scale=2.0, growth_interval=3)
+    s = _scaler(init_scale=2.0, growth_interval=3)
     s.advance()
     s.advance()
     s.backoff()
