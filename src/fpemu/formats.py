@@ -23,6 +23,7 @@ import math
 import re
 import string
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -88,8 +89,9 @@ def parse_value(text: str) -> float:
     if low == "nan":
         return math.nan
     try:
-        if low.startswith("2^"):
-            return sign * math.ldexp(1.0, int(low[2:], 10))
+        if low.startswith("2^") and _INT_RE.fullmatch(low[2:]):
+            # Decimal reads an exponent of any length; int() of a str stops at 4300 digits
+            return sign * math.ldexp(1.0, int(Decimal(low[2:])))
         if low.startswith("0x"):
             return sign * float.fromhex(low)
         return sign * float(low)

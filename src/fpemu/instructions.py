@@ -61,8 +61,8 @@ redone exactly, and the steps after it again.  The exact redo is a
 TwoSum round-to-odd add followed by one round-to-nearest, which for 24
 or fewer significand bits is one correct rounding (53 >= 24 + 2; Boldo
 and Melquiond, IEEE TC 2008).  FMAC8's accumulator restarts every
-``chunk`` steps, so the chunks of a block run side by side as lanes of
-one ``chunk``-step reduction, and are drained into the master only after
+``chunk`` steps, and its product blocks hold whole chunks, which run side
+by side as lanes of one reduction and drain into the master only after
 the block has passed its check.  All paths are tested against the
 rational oracle.
 """
@@ -321,20 +321,22 @@ def _fused_step_array(acc: np.ndarray, prod: np.ndarray, fmt: FpFormat) -> np.nd
 
 
 # Products are formed a K-block at a time as a (kb, m, n) tensor of at
-# most _BLOCK_ELEMS elements and _BLOCK_STEPS steps.  The step cap bounds
-# what one redo in _checked_steps re-runs.
+# most _BLOCK_ELEMS elements and _BLOCK_STEPS steps.  FMAC8 blocks are cut
+# down to whole chunks, or grown to one chunk where a chunk is longer.  The
+# step cap bounds what one redo in _checked_steps re-runs.
 _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
 
 _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray):
+def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
     """Yield the exact products a[:, i] * b[i, :] as (kb, m, n) blocks in
-    ascending i."""
+    ascending i, kb a whole number of ``chunk`` steps (at least one)."""
     m, k = a.shape
     n = b.shape[1]
-    kb = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n)))
+    kb = min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n))
+    kb = max(chunk, kb - kb % chunk)
     at = a.T
     for k0 in range(0, k, kb):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
@@ -428,66 +430,54 @@ def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None
     _checked_steps(rows, prods.astype(np.float64, copy=False), step, acc_fmt)
 
 
-def _fmac8_block(acc: np.ndarray, master: np.ndarray, prods: np.ndarray,
-                 lead: int, chunk: int, fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
-    """FMAC8 over one block whose first step is step ``lead`` of a chunk.
+def _fmac8_block(master: np.ndarray, prods: np.ndarray, chunk: int, fmt: FpFormat) -> np.ndarray:
+    """FMAC8 over one block of whole ``chunk``-step chunks, the last one
+    possibly partial; returns the new binary32 ``master``.
 
-    The format-width accumulator restarts from +0 every ``chunk`` steps,
-    so the block's chunks run side by side as the lanes of one
-    ``chunk``-step reduction.  The block is padded with -0 products, which
-    leave any accumulator as it is, so that its first chunk continues
-    ``acc`` and its last chunk is whole.  The chunks before the last are
-    then drained into ``master`` in order, each a float32 add, after the
-    reduction has passed its check.  Returns the last chunk's accumulator,
-    which carries over to the next block, and the new master.
+    The format-width accumulator restarts from +0 every chunk, so the
+    chunks run side by side as lanes of one ``min(chunk, len(prods))``-step
+    reduction.  Only a partial last chunk is padded, with -0 products,
+    which leave any accumulator as it is.  After the reduction passes its
+    check, the chunks drain into ``master`` in order, each a float32 add.
     """
-    width = -(-(lead + len(prods)) // chunk) * chunk
-    if width == 0:
-        return acc, master
-    segs = width // chunk
-    padded = np.full((width, *acc.shape), -0.0)
-    padded[lead:lead + len(prods)] = prods
-    rows = np.zeros((chunk + 1, segs, *acc.shape))
-    if lead:
-        rows[0, 0] = acc
-    _reduce_rows(rows, padded.reshape(segs, chunk, *acc.shape).swapaxes(0, 1), fmt)
-    drained = rows[-1, :-1]
-    if not lead:  # the chunk in progress ended with the last block
-        drained = np.concatenate([acc[None], drained])
-    sums = np.concatenate([master[None], drained.astype(np.float32)])
+    if not len(prods):  # no steps, as in a dot product of empty vectors
+        return master
+    width = min(chunk, len(prods))
+    segs = -(-len(prods) // width)
+    padded = np.full((segs * width, *master.shape), -0.0)
+    padded[:len(prods)] = prods
+    rows = np.zeros((width + 1, segs, *master.shape))
+    _reduce_rows(rows, padded.reshape(segs, width, *master.shape).swapaxes(0, 1), fmt)
+    sums = np.concatenate([master[None], rows[-1].astype(np.float32)])
     np.add.accumulate(sums, axis=0, out=sums)
-    return rows[-1, -1], sums[-1]
+    return sums[-1]
 
 
 def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chunk: int) -> np.ndarray:
     """Reduce each lane of a stream of exact product blocks under ``mode``.
 
     ``blocks`` yields float64 arrays of shape ``(steps, *shape)`` in
-    ascending step order.  Returns the final accumulator as float32: the
-    format-width one for MAC and FMAC, the binary32 one for MACS, FMACS
-    and FMAC8's master.  NaN lanes hold the canonical NaN.
+    ascending step order; every FMAC8 block holds whole ``chunk``-step
+    chunks, except possibly the last.  Returns the final accumulator as
+    float32: the format-width one for MAC and FMAC, the binary32 one for
+    MACS, FMACS and FMAC8's master.  NaN lanes hold the canonical NaN.
     """
     s = _SCHEDULES[mode]
     # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes,
     # and binary32 accumulators legitimately overflow to infinity.
     with np.errstate(invalid="ignore", over="ignore"):
-        acc = np.zeros(shape, dtype=np.float32 if s.wide else np.float64)
-        master = np.zeros(shape, dtype=np.float32)
-        done = 0
+        acc = np.zeros(shape, dtype=np.float32 if s.wide or s.drains else np.float64)
         for prods in blocks:
             if s.round_products:
                 prods = roundfp_array(prods, fmt)
             if s.drains:
-                acc, master = _fmac8_block(acc, master, prods, done % chunk, chunk, fmt)
-                done += len(prods)
-                continue
-            rows = np.empty((len(prods) + 1, *shape), dtype=acc.dtype)
-            rows[0] = acc
-            _reduce_rows(rows, prods, BINARY32 if s.wide else fmt)
-            acc = rows[-1]
+                acc = _fmac8_block(acc, prods, chunk, fmt)
+            else:
+                rows = np.empty((len(prods) + 1, *shape), dtype=acc.dtype)
+                rows[0] = acc
+                _reduce_rows(rows, prods, BINARY32 if s.wide else fmt)
+                acc = rows[-1]
         out = acc.astype(np.float32)
-        if s.drains:
-            out += master  # the final drain
     out[np.isnan(out)] = np.nan
     return out
 
@@ -509,7 +499,8 @@ def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.
         if not ok.all():
             i = tuple(np.argwhere(~ok)[0])
             raise ValueError(f"{name}{list(i)} = {x[i]!r} is not representable in {fmt}")
-    return _reduce(_product_blocks(fa, fb), (m, n), fmt, mode, chunk)
+    blocks = _product_blocks(fa, fb, chunk if _SCHEDULES[mode].drains else 1)
+    return _reduce(blocks, (m, n), fmt, mode, chunk)
 
 
 def matmul(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,7 +103,10 @@ class RunSummary:
     def from_json(cls, text: str) -> "RunSummary":
         """Parse :meth:`to_json` output.  A payload that is not an object
         of the expected keys and value types raises ValueError."""
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, found {type(d).__name__}")
         fields = {}
@@ -112,6 +116,8 @@ class RunSummary:
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 wants = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"{key} must be {wants}, found {json.dumps(value)}")
+            if float in types and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{key} is an integer beyond binary64's range")
             fields[name] = value
         return cls(**fields)
 

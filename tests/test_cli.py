@@ -35,6 +35,9 @@ DATA = pathlib.Path(__file__).parent / "data"
     ("-Inf", -math.inf),
     ("65504", 65504.0),
     ("1e400", math.inf),  # decimal overflow saturates
+    # a power-of-two exponent of 5001 digits, beyond what int() reads
+    pytest.param("2^" + "0" * 5000 + "1", 2.0, id="2^0...01"),
+    pytest.param("2^-" + "0" * 5000 + "1", 0.5, id="2^-0...01"),
 ])
 def test_parse_value(text, value):
     assert parse_value(text) == value
@@ -141,6 +144,10 @@ def test_round_reports_literals_beyond_binary64(spec, text, exact, capsys):
     # an exponent of 5001 digits, beyond what int() reads, of a value in range
     pytest.param("1e" + "0" * 5000 + "1", "10.0", "EXACT", id="1e0...01"),
     pytest.param("0x1p-" + "0" * 5000 + "1", "0.5", "EXACT", id="0x1p-0...01"),
+    pytest.param("2^" + "0" * 5000 + "1", "2.0", "EXACT", id="2^0...01"),
+    pytest.param("-2^-" + "0" * 5000 + "1", "-0.5", "EXACT", id="-2^-0...01"),
+    pytest.param("2^1" + "0" * 5000, "inf", "ROUNDED|OVERFLOWED_TO_INF", id="2^10...0"),
+    pytest.param("-2^-1" + "0" * 5000, "-0.0", "ROUNDED|UNDERFLOWED_TO_ZERO", id="-2^-10...0"),
 ])
 def test_round_reads_huge_exponents_without_building_the_power(text, shown, flags, capsys):
     assert main(["round", "1/5/10/d", "--", text]) == 0
@@ -286,6 +293,22 @@ def test_train_reads_config_numbers_in_the_cli_grammar(tmp_path, capsys):
     assert "\ninit_scale=32768.0\n" in text and "\nlr=0.0625\n" in text
 
 
+def test_train_fmac8_chunk_longer_than_every_reduction(tmp_path, capsys):
+    # every regression matmul has K <= 32, so a chunk of 32 drains only at
+    # the end of each reduction, as a chunk of 10^12 does
+    files = {}
+    for chunk in ("32", "1000000000000"):
+        argv = ["train", "--task", "regression", "--out", str(tmp_path / chunk),
+                "--set", "format=1/6/9/n", "--set", "mode=fmac8", "--set", "steps=3",
+                "--set", f"chunk={chunk}"]
+        assert main(argv) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        (run_dir,) = (tmp_path / chunk).iterdir()
+        files[chunk] = [(run_dir / name).read_bytes()
+                        for name in ("loss.csv", "telemetry.csv", "summary.json")]
+    assert files["32"] == files["1000000000000"]
+
+
 def test_train_rejects_bad_set():
     assert main(["train", "--task", "regression", "--set", "notakey=1"]) == 1
     assert main(["train", "--task", "regression", "--set", "nodelimiter"]) == 1
@@ -363,6 +386,11 @@ def test_report_flags_corrupt_summaries(tmp_path, capsys):
 @pytest.mark.parametrize("payload", [
     [],                                          # valid JSON, not an object
     {"global_max_denormal_fraction": None},      # a null where a number belongs
+    # JSON nested beyond Python's recursion limit
+    pytest.param("[" * 100_000, id="nested"),
+    # integers that report could not format as floats
+    pytest.param({"final_loss": 10**400}, id="final_loss-401-digits"),
+    pytest.param({"global_max_denormal_fraction": -(10**400)}, id="global_max-401-digits"),
 ])
 def test_report_skips_summaries_of_the_wrong_shape(tmp_path, capsys, payload):
     good = RunSummary("good_run", "1/5/10/d", False, "fmacs", {"w": 0.5}, 0.5, 1,
@@ -372,7 +400,8 @@ def test_report_skips_summaries_of_the_wrong_shape(tmp_path, capsys, payload):
     if isinstance(payload, dict):
         payload = {**json.loads(good.to_json()), **payload}
     (tmp_path / "bad").mkdir()
-    (tmp_path / "bad" / "summary.json").write_text(json.dumps(payload))
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    (tmp_path / "bad" / "summary.json").write_text(text)
     assert main(["report", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "good_run" in captured.out

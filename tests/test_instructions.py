@@ -472,8 +472,9 @@ def _same_bits32(got, want):
 # gradient, the cnn head forward and weight gradient, the regression head.
 TRAINING_SHAPES = ((32, 108, 4), (4, 32, 108), (1152, 9, 3), (3, 1152, 9), (32, 16, 1))
 # Shapes that cross product blocks: a 64x85 output holds 3 steps per
-# block, so FMAC8 drains fall at different places in successive blocks,
-# and k = 600 spans three blocks of at most 256 steps.
+# block, and k = 600 spans three blocks of at most 256 steps.  FMAC8
+# blocks hold whole chunks: at chunk 8 the 64x85 blocks grow to one
+# 8-step chunk, and the k = 600 blocks stay at 256 steps.
 BLOCK_SHAPES = ((64, 20, 85), (3, 600, 2))
 
 
@@ -524,6 +525,25 @@ def test_matmul_matches_scalar_chains(mode):
                 lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
                          (int(r.integers(m)), int(r.integers(n)))}
                 _check_lanes(a, b, fmt, mode, 8, sorted(lanes))
+
+
+@pytest.mark.parametrize("chunk", (3, 100, 2**40), ids=("chunk3", "chunk100", "chunk2^40"))
+def test_fmac8_chunks_that_do_not_fit_a_block_match_scalar_chains(chunk):
+    # Chunk 3 cuts the 256-step blocks of k = 600 down to 255 steps;
+    # chunk 100 is longer than the 3-step blocks of the 64x85 output; and
+    # chunk 2^40 is longer than k, so it drains only at the end, as a
+    # chunk of k steps does.
+    rng = np.random.default_rng(29)
+    for fmt in (HALF, WIDE_N, BINARY32):
+        for m, k, n in BLOCK_SHAPES:
+            a, b = _special_operands(rng, m, k, n, fmt)
+            lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
+                     (int(rng.integers(m)), int(rng.integers(n)))}
+            _check_lanes(a, b, fmt, AccumMode.FMAC8, chunk, sorted(lanes))
+            if chunk > k:
+                got = matmul_wide(a, b, fmt, mode=AccumMode.FMAC8, chunk=chunk)
+                one = matmul_wide(a, b, fmt, mode=AccumMode.FMAC8, chunk=k)
+                assert (got.view(np.uint32) == one.view(np.uint32)).all()
 
 
 def test_fmacs_binary32_tie_is_not_double_rounded():
@@ -676,8 +696,8 @@ def test_fmac8_drains_the_corrected_step(chunk, at):
     # Steps `at` and `at + 1` are the 259 tie of
     # test_format_width_midpoint_sum_is_rounded_once, in one chunk; the
     # next step drains the corrected 258/256 into the master, once.  With
-    # chunk 3 the pair straddles the first two 256-step blocks, so the
-    # corrected chunk continues from one block into the next.
+    # chunk 3 the blocks are 255 steps, whole chunks, so the corrected
+    # chunk opens the second block.
     k = 300
     a = np.zeros((1, k))
     b = np.zeros((k, 1))
