@@ -30,21 +30,30 @@ reduction serves all five modes, driven by a per-mode table of three
 flags: round the products into the format first (MAC, MACS), accumulate
 in binary32 (MACS, FMACS), and drain a format-width accumulator into a
 binary32 master every ``chunk`` steps (FMAC8).  It consumes the exact
-products, binary64 values of at most 48 significand bits, a block of
-steps at a time, and never calls the rounding kernel per step.
+products a block of steps at a time, and never calls the rounding kernel
+per step.  A float32 operand is checked on its own bits, since every
+format is a subset of binary32.  The products are binary32 numbers where
+the format allows it: with p <= 11 and e <= 7 (1/5/10 and 1/6/9 among
+them) a product has at most 24 significand bits, a multiple of 2^-149 and
+a magnitude below 2^128, so a float32 multiply is exact.  Other formats'
+products are binary64 values of at most 48 significand bits.
 
 Every step rounds into an accumulator format: binary32 for MACS and
 FMACS, the format itself for MAC, FMAC and FMAC8.  MACS and FMACS blocks
-whose products are all binary32 numbers are one sequential float32
-``np.add.accumulate`` with the running sum (starting at +0) as the first
-row: a float32 add of a binary32 product is already the one rounding.
-MACS products always are; so are FMACS products of 1/5/10 and 1/6/9
-values and most of 1/8/7.
+whose products are all binary32 numbers are float32 running sums down
+the block, with the running sum (starting at +0) as the first row: a
+float32 add of a binary32 product is already the one rounding.  MACS
+products always are, and so are float32 products, unchecked; binary64
+products (most of 1/8/7's) are checked.  The running sums are a Python
+loop of row adds where a row has many lanes and one
+``np.add.accumulate`` otherwise, whichever is faster; the bits are the
+same.
 
 Every other step is a cheap one, a binary64 add and a rounding of the
-sum into the accumulator format, run by one checked-block driver.  In
-binary32 (binary32 operands, or 1/8/7 products below 2^-149) the
-rounding is a float32 cast.  At format width it is the rounding kernel's
+sum into the accumulator format, run on flat rows (one lane per element)
+by one checked-block driver.  In binary32 (binary32 operands, or 1/8/7
+products below 2^-149) the step adds into a binary64 scratch row and
+casts it into the float32 row.  At format width it is the rounding kernel's
 magic-constant rounding ``(s + M) - M`` with ``M = 1.5 * 2^(E-p+52)``
 for the sum's exponent E (at least e_min), built by the same helper as
 the kernel's ``M`` (:func:`rounding._magic`) but without its clamp at
@@ -55,7 +64,8 @@ One rule covers both widths.  RNE is monotone and the accumulator
 format's midpoints are binary64 numbers, so a cheap step differs from
 rounding the exact sum only where the add was inexact and its sum is a
 midpoint of the gradual-underflow grid; the magic-constant step also
-leaves a sum above ``max_finite`` finite.  After a block, one check
+leaves a sum above ``max_finite`` finite, which a float32 row cannot
+hold.  After a block, one check
 looks for both, and the flagged lanes of the first step that has any are
 redone exactly, and the steps after it again.  The exact redo is a
 TwoSum round-to-odd add followed by one round-to-nearest, which for 24
@@ -77,7 +87,7 @@ import numpy as np
 
 from . import _dyadic
 from .formats import BINARY32, FpFormat
-from .rounding import _EXP, _grid, _magic, _on_grid, roundfp_array
+from .rounding import _grid, _magic, _on_grid, _products_fit_binary32, roundfp_array
 
 __all__ = [
     "AccumMode",
@@ -332,7 +342,8 @@ _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
     """Yield the exact products a[:, i] * b[i, :] as (kb, m, n) blocks in
-    ascending i, kb a whole number of ``chunk`` steps (at least one)."""
+    ascending i, kb a whole number of ``chunk`` steps (at least one), in
+    the operands' width."""
     m, k = a.shape
     n = b.shape[1]
     kb = min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n))
@@ -342,24 +353,50 @@ def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
 
 
+# np.add.accumulate(axis=0) runs a strided inner loop down each lane,
+# about 2.5 ns a lane and step and more on short blocks; a Python loop of
+# row adds costs about 0.4 us a step plus 0.4 ns a lane and step.  On
+# float32 blocks of 2 to 256 steps the loop is the faster above 96 to 192
+# lanes (more lanes for more steps), 5 to 14x faster at 3,456 lanes and
+# 2 to 5x slower at 27 (2-vCPU Xeon container, numpy 2.4.6).
+_LOOP_LANES = 160
+
+
+def _running_sums(rows: np.ndarray) -> None:
+    """rows[i + 1] = rows[i] + rows[i + 1] in ascending i, in place: the
+    ordered running sums down axis 0, one rounding per add.  A row loop
+    where rows hold more than ``_LOOP_LANES`` lanes, else one
+    ``np.add.accumulate``; both give the same bits."""
+    if rows[0].size > _LOOP_LANES:
+        row = list(rows)
+        for prev, cur in zip(row, row[1:]):
+            np.add(prev, cur, out=cur)
+    else:
+        np.add.accumulate(rows, axis=0, out=rows)
+
+
 def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, acc_fmt: FpFormat) -> None:
-    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of steps.
+    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of
+    steps; ``rows`` is C-contiguous, so its lanes flatten in place.
 
     ``step(acc, prod, out)`` rounds the binary64 sum s = acc + prod into
-    ``acc_fmt``.  RNE is monotone and ``acc_fmt``'s midpoints are binary64
-    numbers, so this can differ from rounding the exact sum only where the
-    add was inexact and s is a midpoint of ``acc_fmt``'s gradual-underflow
-    grid; and the format-width step, which never overflows, may leave a
-    value above ``max_finite`` finite.  One check of the whole block flags
-    both.  The flagged lanes of the first step that has any are redone
-    exactly with :func:`_fused_step_array`, and the steps after it are run
-    again.
+    ``acc_fmt`` on flat rows, one lane per element.  RNE is monotone and
+    ``acc_fmt``'s midpoints are binary64 numbers, so this can differ from
+    rounding the exact sum only where the add was inexact and s is a
+    midpoint of ``acc_fmt``'s gradual-underflow grid; and the format-width
+    step on float64 rows, which never overflows, may leave a value above
+    ``max_finite`` finite (a finite float32 never is).  One check of the
+    whole block flags both.  The flagged lanes of the first step that has
+    any are redone exactly with :func:`_fused_step_array`, and the steps
+    after it are run again.
     """
     g = _grid(acc_fmt)
+    rows, prods = rows.reshape(len(rows), -1), prods.reshape(len(prods), -1)
+    row, prod = list(rows), list(prods)
     start = 0
-    while start < len(prods):
-        for i in range(start, len(prods)):
-            step(rows[i], prods[i], rows[i + 1])
+    while start < len(prod):
+        for i in range(start, len(prod)):
+            step(row[i], prod[i], row[i + 1])
         acc, p = rows[start:-1], prods[start:]
         # s's distance to its nearest grid point, against half the quantum
         s = acc + p
@@ -368,31 +405,35 @@ def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, acc_fmt: FpFormat)
         d = s + mf
         d -= mf
         d -= s
-        m &= _EXP
+        m &= g.exp
         m -= _HALF_QUANTUM  # now half the quantum
         bad = np.abs(d, out=d) == mf  # on a midpoint
         if bad.any():
             bad[bad] = _two_sum(acc[bad], p[bad])[1] != 0
-        mag = np.abs(rows[start + 1:])
-        bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
+        if rows.dtype == np.float64:
+            mag = np.abs(rows[start + 1:])
+            bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
         if not bad.any():
             return
-        i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        i = int(np.argmax(bad.any(axis=1)))
         lanes = bad[i]
         i += start
-        rows[i + 1][lanes] = _fused_step_array(rows[i][lanes], prods[i][lanes], acc_fmt)
+        row[i + 1][lanes] = _fused_step_array(row[i][lanes], prod[i][lanes], acc_fmt)
         start = i + 1
 
 
 def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None:
     """Accumulate one block of steps: rows[i + 1] = round(rows[i] + prods[i],
     acc_fmt), with the running sum in row 0 and exact products in ``prods``.
+    ``rows`` is C-contiguous.
 
     float32 ``rows`` hold a binary32 accumulator (``acc_fmt`` is BINARY32).
-    If every product is a binary32 number (MACS's rounded float32 products
-    always are), a float32 add of it is already the one rounding, and the
-    block is one sequential ``np.add.accumulate``.  Otherwise each step is
-    a binary64 add cast to float32.
+    If every product is a binary32 number (float32 ``prods`` always are:
+    MACS's rounded products, and the products of formats whose products
+    all fit binary32), a float32 add of it is already the one rounding,
+    and the block is the running sums of :func:`_running_sums`.
+    Otherwise each step is a binary64 add into a scratch row, cast into
+    the float32 row.
 
     float64 ``rows`` hold a format-width accumulator.  Each step rounds the
     binary64 sum s as (s + M) - M, where the magic constant
@@ -402,17 +443,23 @@ def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None
     is.  The step then gives zeros the sign of s and, for /n formats,
     flushes a denormal to signed zero.
 
-    Both cheap steps are checked and redone by :func:`_checked_steps`.
+    Both cheap steps run on flat rows and are checked and redone by
+    :func:`_checked_steps`.
     """
     if rows.dtype == np.float32:
-        p32 = prods.astype(np.float32, copy=False)
-        if p32 is prods or (p32 == prods).all():
-            rows[1:] = p32
-            np.add.accumulate(rows, axis=0, out=rows)
+        if prods.dtype != np.float32:
+            p32 = prods.astype(np.float32)
+            if (p32 == prods).all():
+                prods = p32
+        if prods.dtype == np.float32:
+            rows[1:] = prods
+            _running_sums(rows)
             return
+        wide = np.empty(rows[0].size)
 
         def step(acc, prod, out):
-            np.add(acc, prod, out=out, casting="unsafe")
+            np.add(acc, prod, out=wide)
+            out[...] = wide
     else:
         # M needs no clamp: |s| < 2^(2 * e_max + 3), and M of inf and NaN is harmless.
         g = _grid(acc_fmt)
@@ -449,15 +496,15 @@ def _fmac8_block(master: np.ndarray, prods: np.ndarray, chunk: int, fmt: FpForma
     rows = np.zeros((width + 1, segs, *master.shape))
     _reduce_rows(rows, padded.reshape(segs, width, *master.shape).swapaxes(0, 1), fmt)
     sums = np.concatenate([master[None], rows[-1].astype(np.float32)])
-    np.add.accumulate(sums, axis=0, out=sums)
+    _running_sums(sums)
     return sums[-1]
 
 
 def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chunk: int) -> np.ndarray:
     """Reduce each lane of a stream of exact product blocks under ``mode``.
 
-    ``blocks`` yields float64 arrays of shape ``(steps, *shape)`` in
-    ascending step order; every FMAC8 block holds whole ``chunk``-step
+    ``blocks`` yields float32 or float64 arrays of shape ``(steps, *shape)``
+    in ascending step order; every FMAC8 block holds whole ``chunk``-step
     chunks, except possibly the last.  Returns the final accumulator as
     float32: the format-width one for MAC and FMAC, the binary32 one for
     MACS, FMACS and FMAC8's master.  NaN lanes hold the canonical NaN.
@@ -483,22 +530,34 @@ def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chun
 
 
 def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.ndarray:
-    """Check the arguments of a matmul and reduce: the accumulator state."""
+    """Check the arguments of a matmul and reduce: the accumulator state.
+
+    A float32 operand is checked in binary32, any other in binary64.  The
+    products are formed in binary32 where every product of two ``fmt``
+    values is a binary32 number (:func:`rounding._products_fit_binary32`),
+    else in binary64.
+    """
     mode = AccumMode.parse(mode)
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    fa, fb = np.asarray(a), np.asarray(b)
     for name, x in (("a", fa), ("b", fb)):
         if x.ndim != 2:
             raise ValueError(f"{name} must be a 2-D matrix, got shape {x.shape}")
     (m, k), (k2, n) = fa.shape, fb.shape
     if k != k2:
         raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
-    for name, x in (("a", fa), ("b", fb)):
-        ok = _on_grid(x, fmt)
-        if not ok.all():
-            i = tuple(np.argwhere(~ok)[0])
-            raise ValueError(f"{name}{list(i)} = {x[i]!r} is not representable in {fmt}")
+    dtype = np.float32 if _products_fit_binary32(fmt) else np.float64
+    # A cast quiets a signaling NaN, which is a member like any NaN.
+    with np.errstate(invalid="ignore"):
+        fa, fb = (x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+                  for x in (fa, fb))
+        for name, x in (("a", fa), ("b", fb)):
+            ok = _on_grid(x, fmt)
+            if not ok.all():
+                i = tuple(np.argwhere(~ok)[0])
+                raise ValueError(f"{name}{list(i)} = {np.float64(x[i])!r} is not representable in {fmt}")
+        fa, fb = fa.astype(dtype, copy=False), fb.astype(dtype, copy=False)
     blocks = _product_blocks(fa, fb, chunk if _SCHEDULES[mode].drains else 1)
     return _reduce(blocks, (m, n), fmt, mode, chunk)
 

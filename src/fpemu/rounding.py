@@ -26,6 +26,11 @@ each bit pattern cleared, denormals included, and :func:`_round_bits32`
 rounds with an integer add and a mask.  The few formats left (float32
 input, at most 7 exponent bits and 22 or 23 mantissa bits) run in
 binary64.  Every path gives the same bits.
+
+The membership test :func:`_on_grid` is one body in the same two widths.
+Every format is a subset of binary32, so float32 input is checked on its
+uint32 patterns in binary32, whatever the format; float64 input is
+checked in binary64.
 """
 
 from __future__ import annotations
@@ -62,10 +67,6 @@ class RoundingOutcome:
         return self.value.surrogate
 
 
-_ABS = np.uint64((1 << 63) - 1)
-_INF = np.uint64(0x7FF0000000000000)
-_EXP = _INF  # the exponent field
-
 _F32 = np.dtype(np.float32)
 _F64 = np.dtype(np.float64)
 # float dtype -> (unsigned view, significand bits after the point, exponent bias)
@@ -78,6 +79,7 @@ class _Grid:
     (F significand bits after the point, exponent bias B)."""
 
     keep: np.unsignedinteger        # clears the W significand bits below the format's
+    abs: np.unsignedinteger         # clears the sign bit
     max_finite: np.unsignedinteger  # bit pattern, for integer comparisons
     c: float               # 2^(e_min - p + F): |x| + c - c rounds onto the denormal grid
     low: float             # 2^e_min and 2^(e_max + 1): the range of the exponent
@@ -95,6 +97,7 @@ def _grid(fmt: FpFormat, dtype: np.dtype = _F64) -> _Grid:
     width = 8 * dtype.itemsize
     return _Grid(
         keep=uint(~((1 << shift) - 1) & ((1 << width) - 1)),
+        abs=uint((1 << (width - 1)) - 1),
         max_finite=np.array(fmt.max_finite, dtype).view(uint)[()],
         c=math.ldexp(1.0, fmt.e_min - fmt.mant_bits + frac),
         low=fmt.min_normal,
@@ -114,6 +117,18 @@ def _fits_binary32(fmt: FpFormat) -> bool:
     E = e_max + 1, and normal at E = e_min."""
     p = fmt.mant_bits
     return p <= 21 and fmt.e_max + 24 - p <= 126 and fmt.e_min - p + 23 >= -126
+
+
+@functools.lru_cache(maxsize=None)
+def _products_fit_binary32(fmt: FpFormat) -> bool:
+    """Whether every product of two ``fmt`` values is a binary32 number:
+    two p + 1 bit significands make at most 24 bits (p <= 11), the
+    product's quantum 2^(2 (e_min - p)) is a multiple of binary32's
+    smallest denormal 2^-149, and magnitudes stay below
+    2^(2 e_max + 2) <= 2^128.  Every format with at most 7 exponent and
+    11 mantissa bits passes; 1/7/12 and 1/8/7 do not."""
+    p = fmt.mant_bits
+    return 2 * p + 2 <= 24 and 2 * (fmt.e_min - p) >= -149 and fmt.e_max <= 63
 
 
 def _magic(x: np.ndarray, g: _Grid, clamp: bool = True) -> np.ndarray:
@@ -198,18 +213,20 @@ def _round_core(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
 
 
 def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Elementwise :meth:`FpFormat.contains` for a float64 array.
+    """Elementwise :meth:`FpFormat.contains` for a float32 or float64 array,
+    on its own bit patterns: every format is a subset of binary32, so a
+    float32 array is checked without being widened.
 
     NaN, the infinities and signed zeros are members; finite magnitudes
     must lie on the format's grid and at most at its largest finite
     value, and denormal magnitudes count only in formats that have them.
     """
-    g = _grid(fmt)
-    mag = a.reshape(-1).view(np.uint64) & _ABS
+    g = _grid(fmt, a.dtype)
+    mag = a.reshape(-1).view(g.abs.dtype) & g.abs
     ok = (mag & ~g.keep) == 0
     ok &= mag <= g.max_finite
-    ok |= mag >= _INF
-    magf = mag.view(np.float64)
+    ok |= mag >= g.exp  # the infinities and NaN
+    magf = mag.view(a.dtype)
     small = magf < g.low
     if fmt.denormals:
         with np.errstate(invalid="ignore"):
@@ -244,7 +261,8 @@ def roundfp(x: float, fmt: FpFormat) -> RoundingOutcome:
         x = Fraction(x)
         arr = np.array([_round_to_odd(x)])
     else:
-        arr = np.array([x], dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # widening quiets a signaling NaN
+            arr = np.array([x], dtype=np.float64)
     final = float(_round_core(arr, fmt)[0])
     # The value before any flush: the same rounding into the /d twin.
     pre = final if fmt.denormals else float(_round_core(arr, replace(fmt, denormals=True))[0])

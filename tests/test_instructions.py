@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from fpemu import _dyadic
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.instructions import (
+    _LOOP_LANES,
     AccumMode,
+    _running_sums,
     fmac,
     fmac8_dot,
     fmacs,
@@ -29,7 +31,7 @@ from fpemu.oracle import (
     macs_oracle,
     round_float,
 )
-from fpemu.rounding import roundfp, roundfp_array
+from fpemu.rounding import _products_fit_binary32, roundfp, roundfp_array
 
 HALF = FpFormat.parse("1/5/10/d")
 HALF_N = FpFormat.parse("1/5/10/n")
@@ -546,6 +548,124 @@ def test_fmac8_chunks_that_do_not_fit_a_block_match_scalar_chains(chunk):
                 assert (got.view(np.uint32) == one.view(np.uint32)).all()
 
 
+def _round_ref(v: float, fmt: FpFormat) -> float:
+    """v rounded into ``fmt`` by ``_dyadic``'s big-integer rounding."""
+    return _dyadic.round_mk(*_dyadic.to_mk(v), fmt) if -math.inf < v < math.inf and v else v
+
+
+def _instruction_chain(arow, bcol, fmt, mode, chunk):
+    """One output element replayed with the scalar instructions, which run
+    on ``_dyadic``'s exact integers: (wide, narrow) as in :func:`_oracle_chain`.
+    FMAC8's narrow result is :func:`fmac8_dot`'s."""
+    acc = 0.0
+    if mode is AccumMode.FMAC8:
+        master = 0.0
+        for i, (x, y) in enumerate(zip(arow, bcol)):
+            if i % chunk == 0:
+                master = fmacs(master, acc, 1.0, fmt)  # binary32 drain
+                acc = 0.0
+            acc = fmac(acc, x, y, fmt)
+        return fmacs(master, acc, 1.0, fmt), fmac8_dot(arow, bcol, fmt, chunk)
+    step = {AccumMode.MAC: mac, AccumMode.MACS: macs,
+            AccumMode.FMAC: fmac, AccumMode.FMACS: fmacs}[mode]
+    for x, y in zip(arow, bcol):
+        acc = step(acc, x, y, fmt)
+    return acc, _round_ref(acc, fmt)
+
+
+# Every product of two values of a format with p <= 11 and e <= 7 is a
+# binary32 number, so its products are formed in binary32.  1/7/11/d is
+# the widest such format; 1/7/12/d and 1/8/7/n are the narrowest that are
+# not, by one mantissa bit and by one exponent bit.
+PRODUCT_RULE_FORMATS = {"1/7/11/d": True, "1/7/12/d": False, "1/8/7/n": False,
+                        "1/5/10/d": True, "1/6/9/n": True, "1/8/23/d": False}
+# 12 lanes over 300 steps, two product blocks (255 + 45 steps for FMAC8
+# at chunk 3), and 150 and 480 lanes over 9 and 4 steps: both sides of
+# _LOOP_LANES.
+RULE_SHAPES = ((4, 300, 3), (10, 9, 15), (12, 4, 40))
+
+
+def _rule_operands(rng, m, k, n, fmt):
+    """Format operands over the whole range, denormals included, with signed
+    zeros; lane (0, 0) sums -smallest_positive^2 products (a -0 in FMACS
+    when they are below binary32's range), lane (m-1, n-1) meets
+    +-max_finite^2 products, and row 1 and column 1 hold an infinity."""
+    lo, hi = fmt.e_min - fmt.mant_bits, fmt.e_max // 2 + 1
+    a = rng.standard_normal((m, k)) * 2.0 ** rng.integers(lo, hi, (m, k))
+    b = rng.standard_normal((k, n)) * 2.0 ** rng.integers(lo, hi, (k, n))
+    near_one = rng.random((m, k)) < 0.5  # half the steps nearer 1, so that sums mix
+    a[near_one] = rng.standard_normal(int(near_one.sum()))
+    for x in (a, b):
+        r = rng.random(x.shape)
+        x[r < 0.08] = 0.0
+        x[r > 0.92] = -0.0
+    tiny, big = fmt.smallest_positive, fmt.max_finite
+    a[0], b[:, 0] = -tiny, tiny
+    a[m - 1, ::2], b[::2, n - 1] = big, big
+    a[m - 1, 1::4], b[1::4, n - 1] = -big, big
+    a[1, k // 2], b[k // 3, 1] = np.inf, -np.inf
+    return (roundfp_array(a.astype(np.float32), fmt),
+            roundfp_array(b.astype(np.float32), fmt))
+
+
+@pytest.mark.parametrize("spec", PRODUCT_RULE_FORMATS)
+def test_matmul_matches_instruction_chains_in_every_lane(spec):
+    fmt = FpFormat.parse(spec)
+    assert _products_fit_binary32(fmt) == PRODUCT_RULE_FORMATS[spec]
+    lanes = [m * n for m, _, n in RULE_SHAPES]
+    assert min(lanes) <= _LOOP_LANES < max(lanes)
+    rng = np.random.default_rng(31)
+    results = []
+    for m, k, n in RULE_SHAPES:
+        a, b = _rule_operands(rng, m, k, n, fmt)
+        for mode in AccumMode:
+            chunk = 3
+            wide = matmul_wide(a, b, fmt, mode=mode, chunk=chunk)
+            narrow = matmul(a, b, fmt, mode=mode, chunk=chunk)
+            # float64 operands hold the same values and give the same bits
+            a64, b64 = a.astype(np.float64), b.astype(np.float64)
+            assert np.array_equal(wide.view(np.uint32),
+                                  matmul_wide(a64, b64, fmt, mode=mode, chunk=chunk).view(np.uint32))
+            assert np.array_equal(narrow.view(np.uint32),
+                                  matmul(a64, b64, fmt, mode=mode, chunk=chunk).view(np.uint32))
+            for i in range(m):
+                for j in range(n):
+                    want_wide, want = _instruction_chain(a[i].tolist(), b[:, j].tolist(),
+                                                         fmt, mode, chunk)
+                    where = f"{m}x{k}x{n} {fmt} {mode.value} [{i},{j}]"
+                    assert _same_bits32(wide[i, j], want_wide), f"wide {where}"
+                    assert _same_bits32(narrow[i, j], want), f"narrow {where}"
+            # the rational oracle on a slice: the -0 lane, the overflow lane
+            _check_lanes(a, b, fmt, mode, chunk, [(0, 0), (m - 1, n - 1)])
+            results.append(narrow)
+    got = np.concatenate([r.ravel() for r in results])
+    # The corpus reaches every kind of result.
+    assert np.isnan(got).any() and np.isinf(got).any()
+    assert ((got == 0) & np.signbit(got)).any()
+    mag = np.abs(got[np.isfinite(got)])
+    assert (mag > 1).any()
+    assert ((mag > 0) & (mag < fmt.min_normal)).any() == fmt.denormals
+
+
+def test_running_sums_loop_and_accumulate_give_the_same_bits():
+    # _running_sums loops over rows above _LOOP_LANES lanes and calls
+    # np.add.accumulate up to it; np.add.accumulate is the reference.
+    rng = np.random.default_rng(47)
+    for lanes in (1, _LOOP_LANES, _LOOP_LANES + 1, 3 * _LOOP_LANES):
+        for steps in (1, 2, 40):
+            rows = (rng.standard_normal((steps + 1, lanes))
+                    * 2.0 ** rng.integers(-160, 126, (steps + 1, lanes))).astype(np.float32)
+            rows[0, ::3] = -0.0
+            rows[1:, ::7] = -0.0
+            rows[-1, 1::11] = np.inf
+            rows[-1, 2::13] = -np.inf
+            want = rows.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.add.accumulate(want, axis=0, out=want)
+                _running_sums(rows)
+            assert np.array_equal(rows.view(np.uint32), want.view(np.uint32)), (lanes, steps)
+
+
 def test_fmacs_binary32_tie_is_not_double_rounded():
     # a + x*y = 2^30 + 2^6 + 2^-24 exactly.  binary64 drops the 2^-24 and
     # lands on the binary32 tie 2^30 + 2^6, which a plain float32 cast
@@ -731,6 +851,21 @@ def test_matmul_nan_is_canonical(mode):
         narrow = matmul(a, b, fmt, mode=mode, chunk=2)
         for out in (wide, narrow):
             assert np.isnan(out).all()
+            assert np.all(out.view(np.uint32) == canonical)
+
+
+@pytest.mark.parametrize("fmt", (WIDE_N, BINARY32, BF8), ids=str)
+def test_matmul_takes_float32_signaling_nan_silently(fmt):
+    # 0x7FA00000 is a signaling NaN, a member of every format.  Widening it
+    # raises numpy's invalid flag, which the suite turns into an error.
+    snan = np.array([0x7FA00000, 0xFFA00001], dtype=np.uint32).view(np.float32)
+    a = np.ones((2, 3), dtype=np.float32)
+    a[0, 1], a[1, 2] = snan
+    b = np.ones((3, 2), dtype=np.float32)
+    canonical = np.float32(np.nan).view(np.uint32)
+    for mode in AccumMode:
+        for out in (matmul(a, b, fmt, mode=mode, chunk=2), matmul_wide(a, b, fmt, mode=mode, chunk=2),
+                    matmul_wide(b.T, a.T, fmt, mode=mode, chunk=2).T):
             assert np.all(out.view(np.uint32) == canonical)
 
 

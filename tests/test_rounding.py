@@ -281,6 +281,15 @@ def test_roundfp_rounds_exact_ints_and_fractions_once(spec):
         assert (RoundFlag.EXACT in flags) == (not want.rounded and not want.flushed), f"{x!r}"
 
 
+@pytest.mark.parametrize("fmt", ALL_FMTS + (BINARY32,), ids=str)
+def test_roundfp_takes_float32_signaling_nan_silently(fmt):
+    # Widening 0x7FA00000 to binary64 raises numpy's invalid flag, which
+    # the suite turns into an error; a NaN rounds to itself, exactly.
+    for bits in (0x7FA00000, 0xFFA00001):
+        out = roundfp(np.uint32(bits).view(np.float32), fmt)
+        assert math.isnan(val(out)) and out.flags == RoundFlag.EXACT
+
+
 # ── the binary32 and integer kernels ───────────────────────────────────
 
 # Formats with at most 7 exponent and 21 mantissa bits round float32
@@ -378,6 +387,30 @@ def test_membership_mask_matches_contains(fmt):
     got = _on_grid(xs.reshape(-1, 1), fmt).ravel()
     want = np.array([fmt.contains(x) for x in xs.tolist()])
     assert np.array_equal(got, want)
+    # float32 input is checked on its own bit patterns, never widened:
+    # random patterns, signaling NaNs of either sign, roundings into fmt,
+    # and the edge values above that are binary32 numbers with their
+    # binary32 neighbours.  The transposed view is not contiguous.
+    rng32 = np.random.default_rng(43)
+    snans = np.uint32(0x7F800000) | rng32.integers(1, 1 << 22, 100, dtype=np.uint32)
+    edges = xs[-11:]
+    with np.errstate(over="ignore"):  # max_f32's neighbour is inf
+        e32 = edges.astype(np.float32)
+        e32 = e32[(e32 == edges) | np.isnan(edges)]
+        e32 = np.concatenate([e32, np.nextafter(e32, np.float32(0)),
+                              np.nextafter(e32, np.float32(np.inf))])
+    x32 = np.concatenate([
+        _random_float32(rng32, 3000),
+        snans.view(np.float32),
+        (snans | np.uint32(1 << 31)).view(np.float32),
+        roundfp_array(_random_float32(rng32, 3000), fmt),
+        e32,
+    ])
+    x32 = x32[:len(x32) // 2 * 2]
+    got32 = _on_grid(x32.reshape(2, -1).T, fmt).T.ravel()
+    want32 = np.array([fmt.contains(x) for x in x32.tolist()])
+    assert np.array_equal(got32, want32)
+    assert want32.any() and want32.all() == (fmt == BINARY32)  # every float32 is in binary32
 
 
 # ── properties ─────────────────────────────────────────────────────────
