@@ -42,12 +42,12 @@ Every step rounds into an accumulator format: binary32 for MACS and
 FMACS, the format itself for MAC, FMAC and FMAC8.  MACS and FMACS blocks
 whose products are all binary32 numbers are float32 running sums down
 the block, with the running sum (starting at +0) as the first row: a
-float32 add of a binary32 product is already the one rounding.  MACS
-products always are, and so are float32 products, unchecked; binary64
-products (most of 1/8/7's) are checked.  The running sums are a Python
-loop of row adds where a row has many lanes and one
-``np.add.accumulate`` otherwise, whichever is faster; the bits are the
-same.
+float32 add of a binary32 product is already the one rounding.  MACS's
+rounded products always are, and so are products formed in binary32,
+with no check; a block of binary64 products is checked, and most of
+1/8/7's pass.  The running sums are a Python loop of row adds where a
+row has many lanes and one ``np.add.accumulate`` otherwise, whichever is
+faster; the bits are the same.
 
 Every other step is a cheap one, a binary64 add and a rounding of the
 sum into the accumulator format, run on flat rows (one lane per element)
