@@ -8,7 +8,9 @@ primitive, :func:`round_int`, rounds an exact M * 2^k into a format and
 returns another pair (N, q); :func:`round_mk` is the same rounding with
 the result turned into a float.  No intermediate float arithmetic, so
 there is no double rounding to reason about.  The scalar instructions
-and ``fmac8_dot`` run their finite steps on such pairs.
+and ``fmac8_dot``'s exact loop run their finite steps on such pairs.  That
+loop serves short vectors; ``fmac8_dot`` hands long ones, with many
+chunks, to the tensor FMAC8 reduction, which the loop checks.
 
 NaN and the infinities have no pair, and a pair drops a zero's sign.
 A sum with a NaN or infinite side, or of two zeros, is binary64's own

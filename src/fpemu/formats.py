@@ -374,7 +374,8 @@ def encode16_array(values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     Raises ValueError unless every value is representable in ``fmt``.
     """
     _require_width16(fmt)
-    a = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # widening quiets a signaling NaN, which encodes as any NaN
+        a = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore"):  # beyond binary32's range: rejected below
         scaled = (np.abs(a) * 2.0 ** (fmt.bias - 127)).astype(np.float32)
     words = np.minimum(scaled.view(np.uint32) >> (23 - fmt.mant_bits), _inf_word(fmt))

@@ -25,7 +25,10 @@ from fpemu._dyadic import round_mk, to_mk
 from fpemu.cli import main as cli_main
 from fpemu.formats import BINARY32, FpFormat, decode16_array
 from fpemu.instructions import (
+    _TENSOR_DOT_MIN_CHUNKS,
+    _TENSOR_DOT_MIN_K,
     AccumMode,
+    _fmac8_dot_exact,
     _reduce,
     _reduce_rows,
     fmac,
@@ -370,14 +373,20 @@ def test_c04_dot_product_oracle_agreement():
     per_format = []
     lens = []
     xchecked = 0
+    tensor_pairs = 0
     for i, fmt in enumerate(FORMATS):
         rng = np.random.default_rng(4040 + i)
         pairs = _c04_pairs(fmt, rng)
         got = _fmac8_kernel_dots(pairs, fmt)
         for count, (w, x, chunk) in enumerate(pairs, 1):
-            want = float(fmac8_dot(w, x, fmt, chunk=chunk))
+            want = _fmac8_dot_exact(w, x, fmt, chunk=chunk)
             if not bool(_bits_match(got[count - 1], want)):
                 mismatches += 1
+            # fmac8_dot itself, where it takes the tensor reduction
+            if len(w) >= _TENSOR_DOT_MIN_K and len(w) // _TENSOR_DOT_MIN_CHUNKS >= chunk:
+                if not bool(_bits_match(fmac8_dot(w, x, fmt, chunk=chunk), want)):
+                    mismatches += 1
+                tensor_pairs += 1
             lens.append(len(w))
             # exact-rational crosscheck on a thin slice
             if count % 400 == 0:
@@ -389,11 +398,12 @@ def test_c04_dot_product_oracle_agreement():
         per_format.append(len(pairs))
     dt = time.monotonic() - t0
     _report(mismatches == 0 and min(per_format) >= 100_000
-            and min(lens) == 0 and max(lens) == 1024,
+            and min(lens) == 0 and max(lens) == 1024 and tensor_pairs > 0,
             f"4. chunked dot oracle agreement: {min(per_format)} vector pairs "
             f"per format x {len(FORMATS)} formats, n in [{min(lens)}, "
             f"{max(lens)}], incl. denormal partial sums and mid-chunk "
-            f"overflow, FMAC8 array reduction vs big-integer fmac8_dot, "
+            f"overflow, FMAC8 array reduction vs fmac8_dot's big-integer loop, "
+            f"{tensor_pairs} pairs on fmac8_dot's tensor path vs that loop, "
             f"{xchecked} pairs also vs exact-rational oracle, "
             f"{mismatches} mismatches in {dt:.1f}s (tolerance: zero)")
 

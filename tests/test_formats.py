@@ -350,6 +350,18 @@ def test_encode16_scalar_examples():
     assert encode16(float("nan"), HALF) == 0x7E00
 
 
+@pytest.mark.parametrize("fmt", (HALF, HALF_N, WIDE, BF8), ids=str)
+def test_encode16_takes_float32_signaling_nan_silently(fmt):
+    # Widening a float32 signaling NaN raises numpy's invalid flag, which
+    # the suite turns into an error; every NaN encodes as the canonical word.
+    snan = np.array([0x7F800001, 0xFFA00000, 0x7FBFFFFF], dtype=np.uint32).view(np.float32)
+    canonical = _nan_word(fmt)
+    assert fmt != HALF or canonical == 0x7E00
+    assert encode16_array(snan, fmt).tolist() == [canonical] * 3
+    assert encode16_array(snan[::2].reshape(2, 1), fmt).tolist() == [[canonical]] * 2
+    assert [encode16(v, fmt) for v in snan] == [canonical] * 3
+
+
 def test_fpvalue_rejects_unrepresentable():
     FpValue(1.5, HALF)
     with pytest.raises(ValueError):

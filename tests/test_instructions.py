@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpemu import _dyadic
+from fpemu import _dyadic, instructions
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.instructions import (
     _LOOP_LANES,
     AccumMode,
+    _fmac8_dot_exact,
     _running_sums,
     fmac,
     fmac8_dot,
@@ -311,14 +313,108 @@ def test_fmac8_dot_matches_oracle_by_bits(spec):
         assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in results)
 
 
+# The shortest vector fmac8_dot hands to the tensor FMAC8 reduction, by
+# chunk: 96 elements, and at least 16 whole chunks.
+TENSOR_DOT_EDGE = {1: 96, 3: 96, 8: 128}
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """A list that grows by one for each call of ``instructions._reduce``."""
+    calls = []
+    reduce = instructions._reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(instructions, "_reduce", counting)
+    return calls
+
+
+def _long_dot_corpus(fmt, rng):
+    """(w, x, chunk) pairs around and past the lengths where
+    :func:`fmac8_dot` takes the tensor FMAC8 reduction."""
+    big, tiny = fmt.max_finite, fmt.min_normal
+
+    def values(n, lo, hi):
+        e = rng.integers(lo, hi, n).astype(np.float64)
+        return roundfp_array(rng.standard_normal(n) * 2.0**e, fmt).tolist()
+
+    pairs = []
+    for chunk, edge in TENSOR_DOT_EDGE.items():
+        for n in (edge - 1, edge, edge + 1):
+            # anywhere in the range, the denormal band included
+            pairs.append((values(n, fmt.e_min - fmt.mant_bits, fmt.e_max // 2),
+                          values(n, fmt.e_min - fmt.mant_bits, fmt.e_max // 2), chunk))
+            # partial sums cancelling around min_normal
+            mid = fmt.e_min // 2
+            pairs.append((values(n, mid - fmt.mant_bits // 2 - 2, mid + 2),
+                          values(n, mid - fmt.mant_bits // 2 - 2, mid + 2), chunk))
+        n = 2 * edge + 5
+        # NaN and the infinities at several positions of a chunk, in w or
+        # in x, against a finite, zero or infinite partner
+        for at in sorted({0, chunk // 2, chunk - 1}):
+            for special in (math.nan, math.inf, -math.inf):
+                for partner in (1.5, -0.0, math.inf):
+                    w, x = values(n, 0, 3), values(n, 0, 3)
+                    i = (n // chunk // 2) * chunk + at
+                    (w, x)[at % 2][i] = special
+                    (x, w)[at % 2][i] = partner
+                    pairs.append((w, x, chunk))
+        # an overflow mid-chunk, then an opposing one in a later chunk
+        for k, first in ((2, big), (3, -big)):
+            w = values(n, 0, fmt.e_max // 2)
+            at = n // 3 + chunk // 2
+            w[at:at + k] = [first] * k
+            w[at + k + 2 * chunk:at + 2 * k + 2 * chunk] = [-first] * k
+            pairs.append((w, [1.0] * n, chunk))
+        # a negative master that the final rounding flushes or rounds to -0
+        for a, b in ((tiny, -1.5 * tiny), (2.0 * tiny, -2.5 * tiny)):
+            w = [0.0, -0.0] * (n // 2) + [0.0] * (n % 2)
+            w[n // 2], w[n // 2 + chunk] = a, b
+            pairs.append((w, [1.0] * n, chunk))
+        # 1 + 2^-p, then the product 2^-(p+1) * (1 - 2^-26): formed in
+        # binary32 it would round to a tie, which rounds 1 + 2^-p up to even
+        p = fmt.mant_bits
+        if p >= 13 and chunk > 1:
+            w, x = [0.0] * n, [1.0] * n
+            w[chunk:chunk + 2] = 1.0, 1.0 + 2.0**-13
+            x[chunk:chunk + 2] = 1.0 + 2.0**-p, 2.0 ** -(p + 1) * (1.0 - 2.0**-13)
+            pairs.append((w, x, chunk))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", DOT_CORPUS_FORMATS)
+def test_fmac8_dot_takes_long_vectors_to_the_tensor_reduction(spec, reduce_calls):
+    fmt = FpFormat.parse(spec)
+    rng = np.random.default_rng(2020)
+    results = []
+    for w, x, chunk in _long_dot_corpus(fmt, rng):
+        tensor = len(w) >= TENSOR_DOT_EDGE[chunk]
+        before = len(reduce_calls)
+        got = fmac8_dot(w, x, fmt, chunk=chunk)
+        assert reduce_calls[before:] == ([AccumMode.FMAC8] if tensor else []), (len(w), chunk)
+        want = dot_oracle(w, x, fmt, chunk=chunk)
+        assert type(got) is float and _same_bits(got, want), (w, x, chunk, got, want)
+        # float32 operands hold the same values and give the same bits
+        assert _same_bits(fmac8_dot(np.float32(w), np.float32(x), fmt, chunk=chunk), got)
+        if tensor:
+            results.append(got)
+    # the tensor path reaches what the corpus is meant to reach
+    assert any(math.isnan(r) for r in results) and any(math.isinf(r) for r in results)
+    if not fmt.denormals:
+        assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in results)
+
+
 def test_fmac8_dot_names_the_first_bad_operand():
     bad_w = [1.0, 2.0, 1.0 + 2.0**-11, 4098.0, 1.0]
     bad_x = [2.0**-25, 1.0, 65536.0, 1.0, 1.0]
     ok = [1.0] * 5
 
-    def message(w, x, fmt):
+    def message(w, x, fmt, dot=fmac8_dot):
         with pytest.raises(ValueError) as info:
-            fmac8_dot(w, x, fmt)
+            dot(w, x, fmt)
         return str(info.value)
 
     # all of w is checked before x
@@ -329,6 +425,48 @@ def test_fmac8_dot_names_the_first_bad_operand():
         "x[1]=5.960464477539063e-08 is not representable in 1/5/10/n")
     assert message([math.inf, -math.inf, 70000.0], ok[:3], HALF) == (
         "w[2]=70000.0 is not representable in 1/5/10/d")
+
+    # long vectors take the tensor reduction and name the same operand
+    # as the exact loop: past the boundary, all of w before x, NaN and
+    # float32 signaling NaN members, a denormal in a /n format
+    n = 300
+    snan = np.array([0x7FA00000], dtype=np.uint32).view(np.float32)[0]
+
+    def long(bad):
+        v = [1.0] * n
+        for i, b in bad.items():
+            v[i] = b
+        return v
+
+    cases = [
+        (long({200: 1.0 + 2.0**-11, 260: 4098.0}), long({}), HALF,
+         "w[200]=1.00048828125 is not representable in 1/5/10/d"),
+        (long({299: 4098.0}), long({3: 2.0**-25}), HALF,
+         "w[299]=4098.0 is not representable in 1/5/10/d"),
+        (long({0: math.nan, 5: math.inf}), long({1: -math.inf, 2: math.nan, 250: 70000.0}), HALF,
+         "x[250]=70000.0 is not representable in 1/5/10/d"),
+        (np.float32(long({10: snan, 150: 1.0 + 2.0**-11})), np.float32(long({})), HALF,
+         "w[150]=1.00048828125 is not representable in 1/5/10/d"),
+        (long({7: math.nan}), long({120: 2.0**-24}), HALF_N,
+         "x[120]=5.960464477539063e-08 is not representable in 1/5/10/n"),
+    ]
+    for w, x, fmt, text in cases:
+        assert message(w, x, fmt) == message(w, x, fmt, dot=_fmac8_dot_exact) == text
+
+
+@pytest.mark.parametrize("chunk", (np.int64(2**62), 2**70), ids=("int64-2^62", "2^70"))
+def test_fmac8_dot_takes_a_huge_chunk_silently(chunk, reduce_calls):
+    # the length rule divides K rather than multiplying the chunk, so no
+    # numpy integer overflows and the vector stays on the exact loop
+    rng = np.random.default_rng(2021)
+    w = roundfp_array(rng.standard_normal(4096), HALF).tolist()
+    x = roundfp_array(rng.standard_normal(4096), HALF).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fmac8_dot(w, x, HALF, chunk=chunk)
+    assert not reduce_calls
+    assert _same_bits(got, _fmac8_dot_exact(w, x, HALF, chunk=4096))
+    assert _same_bits(got, dot_oracle(w, x, HALF, chunk=4096))
 
 
 # ── instruction/oracle sweeps ──────────────────────────────────────────
@@ -556,7 +694,7 @@ def _round_ref(v: float, fmt: FpFormat) -> float:
 def _instruction_chain(arow, bcol, fmt, mode, chunk):
     """One output element replayed with the scalar instructions, which run
     on ``_dyadic``'s exact integers: (wide, narrow) as in :func:`_oracle_chain`.
-    FMAC8's narrow result is :func:`fmac8_dot`'s."""
+    FMAC8's narrow result is that of :func:`fmac8_dot`'s exact loop."""
     acc = 0.0
     if mode is AccumMode.FMAC8:
         master = 0.0
@@ -565,7 +703,7 @@ def _instruction_chain(arow, bcol, fmt, mode, chunk):
                 master = fmacs(master, acc, 1.0, fmt)  # binary32 drain
                 acc = 0.0
             acc = fmac(acc, x, y, fmt)
-        return fmacs(master, acc, 1.0, fmt), fmac8_dot(arow, bcol, fmt, chunk)
+        return fmacs(master, acc, 1.0, fmt), _fmac8_dot_exact(arow, bcol, fmt, chunk)
     step = {AccumMode.MAC: mac, AccumMode.MACS: macs,
             AccumMode.FMAC: fmac, AccumMode.FMACS: fmacs}[mode]
     for x, y in zip(arow, bcol):
