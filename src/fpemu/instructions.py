@@ -51,16 +51,20 @@ whose products are all binary32 numbers are float32 running sums down
 the block, with the running sum (starting at +0) as the first row: a
 float32 add of a binary32 product is already the one rounding.  MACS's
 rounded products always are, and so are products formed in binary32,
-with no check; a block of binary64 products is checked, and most of
-1/8/7's pass.  The running sums are a Python loop of row adds where a
+with no check.  A block of binary64 products is tried in float32 only
+where the format's products have at most 24 significand bits, as
+1/8/7's do, and most of its blocks pass; binary32's and 1/7/12's almost
+never would.  The running sums are a Python loop of row adds where a
 row has many lanes and one ``np.add.accumulate`` otherwise, whichever is
 faster; the bits are the same.
 
 Every other step is a cheap one, a binary64 add and a rounding of the
 sum into the accumulator format, run on flat rows (one lane per element)
-by one checked-block driver.  In binary32 (binary32 operands, or 1/8/7
-products below 2^-149) the step adds into a binary64 scratch row and
-casts it into the float32 row.  At format width it is the rounding kernel's
+that a reduction makes once and reuses for each of its blocks.  In
+binary32 (binary32 operands, 1/7/12, or 1/8/7 products below 2^-149) a
+block of binary64 sums is loaded with the products, and each step is
+one add of the float32 row into its sum and one cast of the sum into
+the next float32 row.  At format width it is the rounding kernel's
 magic-constant rounding ``(s + M) - M`` with ``M = 1.5 * 2^(E-p+52)``
 for the sum's exponent E (at least e_min), built by the same helper as
 the kernel's ``M`` (:func:`rounding._magic`) but without its clamp at
@@ -72,21 +76,24 @@ format's midpoints are binary64 numbers, so a cheap step differs from
 rounding the exact sum only where the add was inexact and its sum is a
 midpoint of the gradual-underflow grid; the magic-constant step also
 leaves a sum above ``max_finite`` finite, which a float32 row cannot
-hold.  After a block, one check
-looks for both, and the flagged lanes of the first step that has any are
-redone exactly, and the steps after it again.  The exact redo is a
-TwoSum round-to-odd add followed by one round-to-nearest, which for 24
-or fewer significand bits is one correct rounding (53 >= 24 + 2; Boldo
-and Melquiond, IEEE TC 2008).  FMAC8's accumulator restarts every
-``chunk`` steps, and its product blocks hold whole chunks, which run side
-by side as lanes of one reduction and drain into the master only after
-the block has passed its check.  All paths are tested against the
-rational oracle.
+hold.  After a block, one check looks for both; in binary32 it reads
+the kept sums on their bits (at or above 2^-126 a midpoint's 29 low bits
+are 2^28; below, it is an odd multiple of 2^-150).  Only flagged lanes
+get the TwoSum inexactness test, and those found inexact in the first
+step that has any are redone exactly, and the steps after it again.
+The exact redo is a TwoSum round-to-odd add followed by one
+round-to-nearest, which for 24 or fewer significand bits is one correct
+rounding (53 >= 24 + 2; Boldo and Melquiond, IEEE TC 2008).  FMAC8's
+accumulator restarts every ``chunk`` steps, and its product blocks hold
+whole chunks, which run side by side as lanes of one reduction and
+drain into the master only after the block has passed its check.  All
+paths are tested against the rational oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -398,6 +405,12 @@ _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
 
 _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
+# A binary64 sum of at least 2^-126 is a binary32 midpoint iff its 29 low
+# bits are 2^28, half binary32's quantum; one below is iff it is an odd
+# multiple of 2^-150.
+_LOW29 = np.uint64((1 << 29) - 1)
+_HALF_ULP32 = np.uint64(1 << 28)
+_MIN_NORMAL32 = 2.0**-126
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
@@ -408,7 +421,7 @@ def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
     n = b.shape[1]
     kb = min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n))
     kb = max(chunk, kb - kb % chunk)
-    at = a.T
+    at = np.ascontiguousarray(a.T)  # a strided a.T multiplies about 1.7x slower
     for k0 in range(0, k, kb):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
 
@@ -435,65 +448,96 @@ def _running_sums(rows: np.ndarray) -> None:
         np.add.accumulate(rows, axis=0, out=rows)
 
 
-def _checked_steps(rows: np.ndarray, prods: np.ndarray, step, acc_fmt: FpFormat) -> None:
-    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of
-    steps; ``rows`` is C-contiguous, so its lanes flatten in place.
+class _Rows:
+    """The accumulator rows of a reduction, made once and reused by each
+    of its blocks.
 
-    ``step(acc, prod, out)`` rounds the binary64 sum s = acc + prod into
-    ``acc_fmt`` on flat rows, one lane per element.  RNE is monotone and
-    ``acc_fmt``'s midpoints are binary64 numbers, so this can differ from
-    rounding the exact sum only where the add was inexact and s is a
-    midpoint of ``acc_fmt``'s gradual-underflow grid; and the format-width
-    step on float64 rows, which never overflows, may leave a value above
-    ``max_finite`` finite (a finite float32 never is).  One check of the
-    whole block flags both.  The flagged lanes of the first step that has
-    any are redone exactly with :func:`_fused_step_array`, and the steps
-    after it are run again.
+    ``rows[i + 1]`` holds the accumulator after step i of a block, and row
+    0 the running sum carried into it.  A block of n steps uses the first
+    n + 1 rows, so the rows are made for the longest block.  The checked
+    steps use them as flat rows, one lane per element, ``flat``, and its
+    row views ``row``; a binary32 accumulator stepped on binary64
+    products also keeps each step's binary64 sum in ``sums`` (views
+    ``sum``).  Each of these is made on first use.
     """
-    g = _grid(acc_fmt)
-    rows, prods = rows.reshape(len(rows), -1), prods.reshape(len(prods), -1)
-    row, prod = list(rows), list(prods)
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows  # C-contiguous, so its lanes flatten in place
+
+    @functools.cached_property
+    def flat(self) -> np.ndarray:
+        return self.rows.reshape(len(self.rows), -1)
+
+    @functools.cached_property
+    def row(self) -> list:
+        return list(self.flat)
+
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        return np.empty((len(self.flat) - 1, self.flat.shape[1]))
+
+    @functools.cached_property
+    def sum(self) -> list:
+        return list(self.sums)
+
+
+def _inexact(bad: np.ndarray, acc: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``bad`` narrowed, in place, to its lanes where the binary64 add
+    acc + p was inexact (TwoSum's error term is not zero)."""
+    if bad.any():
+        bad[bad] = _two_sum(acc[bad], p[bad])[1] != 0
+    return bad
+
+
+def _checked_steps(rows: _Rows, prods: np.ndarray, steps, flagged, acc_fmt: FpFormat) -> None:
+    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of
+    n = len(prods) steps of binary64 products ``prods``, flat (n, lanes).
+
+    ``steps(start)`` runs the cheap steps start to n - 1, each rounding
+    the binary64 sum s = acc + prod into ``acc_fmt`` on flat rows.  RNE is
+    monotone and ``acc_fmt``'s midpoints are binary64 numbers, so a cheap
+    step can differ from rounding the exact sum only where the add was
+    inexact and s is a midpoint of ``acc_fmt``'s gradual-underflow grid;
+    and the format-width step, which never overflows, may leave a value
+    above ``max_finite`` finite (a finite float32 never is).
+    ``flagged(start)`` checks steps start to n - 1 for both, and returns
+    them as a (steps, lanes) mask.  The flagged lanes of the first step
+    that has any are redone exactly with :func:`_fused_step_array`, and
+    the steps after it are run and checked again.
+    """
+    row = rows.row
     start = 0
-    while start < len(prod):
-        for i in range(start, len(prod)):
-            step(row[i], prod[i], row[i + 1])
-        acc, p = rows[start:-1], prods[start:]
-        # s's distance to its nearest grid point, against half the quantum
-        s = acc + p
-        m = _magic(s, g, clamp=False)
-        mf = m.view(np.float64)
-        d = s + mf
-        d -= mf
-        d -= s
-        m &= g.exp
-        m -= _HALF_QUANTUM  # now half the quantum
-        bad = np.abs(d, out=d) == mf  # on a midpoint
-        if bad.any():
-            bad[bad] = _two_sum(acc[bad], p[bad])[1] != 0
-        if rows.dtype == np.float64:
-            mag = np.abs(rows[start + 1:])
-            bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
+    while True:
+        steps(start)
+        bad = flagged(start)
         if not bad.any():
             return
         i = int(np.argmax(bad.any(axis=1)))
         lanes = bad[i]
         i += start
-        row[i + 1][lanes] = _fused_step_array(row[i][lanes], prod[i][lanes], acc_fmt)
+        row[i + 1][lanes] = _fused_step_array(row[i][lanes], prods[i][lanes], acc_fmt)
         start = i + 1
 
 
-def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None:
-    """Accumulate one block of steps: rows[i + 1] = round(rows[i] + prods[i],
-    acc_fmt), with the running sum in row 0 and exact products in ``prods``.
-    ``rows`` is C-contiguous.
+def _reduce_rows(rows: "_Rows | np.ndarray", prods: np.ndarray, acc_fmt: FpFormat) -> None:
+    """Accumulate one block of n = len(prods) steps: rows[i + 1] =
+    round(rows[i] + prods[i], acc_fmt), with the running sum in row 0 and
+    exact products in ``prods``.  ``rows`` is a :class:`_Rows`, of which
+    the first n + 1 rows are used, or a C-contiguous array of n + 1 rows.
 
     float32 ``rows`` hold a binary32 accumulator (``acc_fmt`` is BINARY32).
-    If every product is a binary32 number (float32 ``prods`` always are:
-    MACS's rounded products, and the products of formats whose products
-    all fit binary32), a float32 add of it is already the one rounding,
-    and the block is the running sums of :func:`_running_sums`.
-    Otherwise each step is a binary64 add into a scratch row, cast into
-    the float32 row.
+    Where ``prods`` are float32, binary32 numbers (MACS's rounded products,
+    the products of formats whose products all fit binary32, and 1/8/7
+    blocks that :func:`_reduce` found to be), a float32 add of a product
+    is already the one rounding, and the block is the running sums of
+    :func:`_running_sums`.  Otherwise the ``sums`` of ``rows`` are loaded
+    with the products and each step is one add into its sum,
+    ``sums[i] += rows[i]`` in binary64, cast into ``rows[i + 1]``.  The
+    check reads those sums rather than forming them again: at or above
+    2^-126 a sum is a binary32 midpoint iff its 29 low bits are 2^28, and
+    the few sums below 2^-126, zeros among them, are midpoints iff they
+    are odd multiples of 2^-150 (an exact ``fmod``).  After a redo the
+    sums of the later steps are loaded again.
 
     float64 ``rows`` hold a format-width accumulator.  Each step rounds the
     binary64 sum s as (s + M) - M, where the magic constant
@@ -501,40 +545,72 @@ def _reduce_rows(rows: np.ndarray, prods: np.ndarray, acc_fmt: FpFormat) -> None
     quantum at s's exponent E (at least e_min) into M's last place.  For inf
     and NaN, M wraps into a tiny negative value that leaves the lane as it
     is.  The step then gives zeros the sign of s and, for /n formats,
-    flushes a denormal to signed zero.
+    flushes a denormal to signed zero.  The check recomputes s and its
+    distance to the grid, and flags finite results above ``max_finite``.
 
-    Both cheap steps run on flat rows and are checked and redone by
-    :func:`_checked_steps`.
+    Both cheap steps are checked and redone by :func:`_checked_steps`.
     """
-    if rows.dtype == np.float32:
-        if prods.dtype != np.float32:
-            p32 = prods.astype(np.float32)
-            if (p32 == prods).all():
-                prods = p32
-        if prods.dtype == np.float32:
-            rows[1:] = prods
-            _running_sums(rows)
-            return
-        wide = np.empty(rows[0].size)
+    if not isinstance(rows, _Rows):
+        rows = _Rows(rows)
+    n = len(prods)
+    if rows.rows.dtype == prods.dtype == np.float32:
+        block = rows.rows[:n + 1]
+        block[1:] = prods
+        _running_sums(block)
+        return
+    flat, row = rows.flat[:n + 1], rows.row
+    prods = prods.reshape(n, -1)
+    if flat.dtype == np.float32:
+        sums, s = rows.sums[:n], rows.sum
 
-        def step(acc, prod, out):
-            np.add(acc, prod, out=wide)
-            out[...] = wide
+        def steps(start):
+            sums[start:] = prods[start:]
+            for acc, si, out in zip(row[start:n], s[start:n], row[start + 1:n + 1]):
+                np.add(acc, si, out=si)
+                out[...] = si
+
+        def flagged(start):
+            bad = (sums[start:].view(np.uint64) & _LOW29) == _HALF_ULP32
+            mag = np.abs(sums[start:])
+            tiny = mag < _MIN_NORMAL32
+            if tiny.any():  # zeros, or the denormal band: odd multiples of 2^-150
+                bad[tiny] = np.fmod(mag[tiny] * 2.0**150, 2.0) == 1
+            return _inexact(bad, flat[start:n], prods[start:])
     else:
+        prods = prods.astype(np.float64, copy=False)
+        prod = list(prods)
         # M needs no clamp: |s| < 2^(2 * e_max + 3), and M of inf and NaN is harmless.
         g = _grid(acc_fmt)
         flush_below = None if acc_fmt.denormals else acc_fmt.min_normal
 
-        def step(acc, prod, out):
-            np.add(acc, prod, out=out)
-            m = _magic(out, g, clamp=False).view(np.float64)
-            r = out + m
-            r -= m
-            np.copysign(r, out, out=out)
-            if flush_below is not None:
-                out *= np.abs(out) >= flush_below
+        def steps(start):
+            for i in range(start, n):
+                out = row[i + 1]
+                np.add(row[i], prod[i], out=out)
+                m = _magic(out, g, clamp=False).view(np.float64)
+                r = out + m
+                r -= m
+                np.copysign(r, out, out=out)
+                if flush_below is not None:
+                    out *= np.abs(out) >= flush_below
 
-    _checked_steps(rows, prods.astype(np.float64, copy=False), step, acc_fmt)
+        def flagged(start):
+            # s's distance to its nearest grid point, against half the quantum
+            acc, p = flat[start:n], prods[start:]
+            s = acc + p
+            m = _magic(s, g, clamp=False)
+            mf = m.view(np.float64)
+            d = s + mf
+            d -= mf
+            d -= s
+            m &= g.exp
+            m -= _HALF_QUANTUM  # now half the quantum
+            bad = _inexact(np.abs(d, out=d) == mf, acc, p)
+            mag = np.abs(flat[start + 1:])
+            bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
+            return bad
+
+    _checked_steps(rows, prods, steps, flagged, acc_fmt)
 
 
 def _fmac8_block(master: np.ndarray, prods: np.ndarray, chunk: int, fmt: FpFormat) -> np.ndarray:
@@ -568,22 +644,35 @@ def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chun
     chunks, except possibly the last.  Returns the final accumulator as
     float32: the format-width one for MAC and FMAC, the binary32 one for
     MACS, FMACS and FMAC8's master.  NaN lanes hold the canonical NaN.
+
+    An FMACS block of binary64 products is tried in float32 where the
+    format's products have at most 24 significand bits (2p + 2 <= 24, as
+    in 1/8/7), and summed there if every product is a binary32 number.
+    The other formats with binary64 products (binary32, 1/7/12) almost
+    never pass, so they are not tried.  One :class:`_Rows` serves every
+    block.
     """
     s = _SCHEDULES[mode]
     # IEEE specials (inf - inf, 0 * inf) legitimately produce NaN lanes,
     # and binary32 accumulators legitimately overflow to infinity.
     with np.errstate(invalid="ignore", over="ignore"):
         acc = np.zeros(shape, dtype=np.float32 if s.wide or s.drains else np.float64)
+        rows = None
         for prods in blocks:
             if s.round_products:
                 prods = roundfp_array(prods, fmt)
+            elif s.wide and prods.dtype == np.float64 and 2 * fmt.mant_bits + 2 <= 24:
+                p32 = prods.astype(np.float32)
+                if (p32 == prods).all():  # most of 1/8/7's blocks
+                    prods = p32
             if s.drains:
                 acc = _fmac8_block(acc, prods, chunk, fmt)
             else:
-                rows = np.empty((len(prods) + 1, *shape), dtype=acc.dtype)
-                rows[0] = acc
+                if rows is None or len(prods) >= len(rows.rows):
+                    rows = _Rows(np.empty((len(prods) + 1, *shape), dtype=acc.dtype))
+                rows.rows[0] = acc
                 _reduce_rows(rows, prods, BINARY32 if s.wide else fmt)
-                acc = rows[-1]
+                acc = rows.rows[len(prods)]
         out = acc.astype(np.float32)
     out[np.isnan(out)] = np.nan
     return out

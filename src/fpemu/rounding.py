@@ -29,8 +29,8 @@ binary64.  Every path gives the same bits.
 
 The membership test :func:`_on_grid` is one body in the same two widths.
 Every format is a subset of binary32, so float32 input is checked on its
-uint32 patterns in binary32, whatever the format; float64 input is
-checked in binary64.
+uint32 patterns in binary32, whatever the format, and needs no check at
+all in binary32 itself; float64 input is checked in binary64.
 """
 
 from __future__ import annotations
@@ -215,7 +215,17 @@ def _round_core(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
 def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Elementwise :meth:`FpFormat.contains` for a float32 or float64 array,
     on its own bit patterns: every format is a subset of binary32, so a
-    float32 array is checked without being widened.
+    float32 array is checked without being widened, and in binary32
+    itself (or 1/8/23/d, the same grid) every float32 bit pattern is a
+    member.  Other arrays are checked by :func:`_on_grid_bits`.
+    """
+    if a.dtype == _F32 and fmt.mant_bits == 23 and fmt.exp_bits == 8 and fmt.denormals:
+        return np.ones(a.shape, dtype=bool)
+    return _on_grid_bits(a, fmt)
+
+
+def _on_grid_bits(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """:func:`_on_grid` on the bit patterns of ``a``, in its width.
 
     NaN, the infinities and signed zeros are members; finite magnitudes
     must lie on the format's grid and at most at its largest finite

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,21 @@ def reduce_calls(monkeypatch):
         return reduce(*args, **kwargs)
 
     monkeypatch.setattr(instructions, "_reduce", counting)
+    return calls
+
+
+@pytest.fixture
+def redone(monkeypatch):
+    """A list of the lane counts of each exact redo, each call of
+    ``instructions._fused_step_array``."""
+    calls = []
+    fused = instructions._fused_step_array
+
+    def counting(acc, prod, fmt):
+        calls.append(len(acc))
+        return fused(acc, prod, fmt)
+
+    monkeypatch.setattr(instructions, "_fused_step_array", counting)
     return calls
 
 
@@ -856,13 +872,34 @@ def test_fmacs_binary32_overflow_midpoint_is_not_double_rounded():
     _check_lanes(a, b, BINARY32, AccumMode.FMACS, 8, [(0, 0)])
 
 
-def test_fmacs_blocks_mix_exact_and_inexact_products():
+def test_fmacs_blocks_mix_exact_and_inexact_products(monkeypatch, redone):
     # A 1x600 by 600x2 product runs in three blocks of at most 256 steps.
-    # Blocks 0 and 2 hold binary32-exact products only and are summed in
-    # float32.  Block 1 also holds the inexact tie product of
-    # test_fmacs_binary32_tie_is_not_double_rounded in column 0, so it
-    # takes the checked binary64 steps for both columns.
+    # In 1/8/7/n, blocks 0 and 2 hold binary32 products only and are summed
+    # in float32.  Block 1 also holds the product 2^-150 of
+    # test_fmacs_bfloat16_products_below_binary32_are_rounded_once in column
+    # 0, so it takes the checked binary64 steps for both columns.
+    summed = []
+    running_sums = instructions._running_sums
+
+    def recording(rows):
+        summed.append(len(rows))
+        running_sums(rows)
+
+    monkeypatch.setattr(instructions, "_running_sums", recording)
     k = 600
+    a = np.zeros((1, k))
+    b = np.zeros((k, 2))
+    a[0, :2], b[:2] = (2.0**-63, 2.0**-75), [[2.0**-63] * 2, [2.0**-74] * 2]
+    a[0, 300], b[300] = 2.0**-75, (2.0**-75, 2.0**-74)
+    a[0, 550], b[550] = 1.0, 2.0**-120
+    got = matmul_wide(a, b, BF8, mode=AccumMode.FMACS)
+    assert summed == [257, 89]  # blocks 0 and 2, each with its carried-in row
+    assert got[0].tolist() == [2.0**-120 + 2.0**-126] * 2
+    _check_lanes(a, b, BF8, AccumMode.FMACS, 8, [(0, 0), (0, 1)])
+    assert redone == []  # every sum in the band is exact in binary64
+    # Binary32's products are never tried in float32: all three blocks of
+    # the binary32 tie take the checked steps, and only its lane is redone.
+    summed.clear()
     a = np.zeros((1, k))
     b = np.zeros((k, 2))
     a[0, :2] = 2.0**30, 2.0**7
@@ -871,6 +908,7 @@ def test_fmacs_blocks_mix_exact_and_inexact_products():
     b[300] = -(2.0**3) * (1 - 2.0**-15), 1.0
     a[0, 550], b[550] = 1.0, 256.0
     got = matmul_wide(a, b, BINARY32, mode=AccumMode.FMACS)
+    assert summed == [] and redone == [1]
     assert got[0].tolist() == [1073742208.0, 1073742208.0]
     _check_lanes(a, b, BINARY32, AccumMode.FMACS, 8, [(0, 0), (0, 1)])
 
@@ -886,6 +924,113 @@ def test_fmacs_bfloat16_products_below_binary32_are_rounded_once():
     got = matmul_wide(a, b, BF8, mode=AccumMode.FMACS)
     assert float(got[0, 0]) == 2.0**-126 + 2.0**-148
     _check_lanes(a, b, BF8, AccumMode.FMACS, 8, [(0, 0)])
+
+
+def _midpoint_cases(fmt):
+    """Steps (x, y) of one lane whose last binary64 sum lands on a binary32
+    midpoint, or near one: the tie, denormal tie and overflow midpoint of
+    the three tests above, and ``above`` just past the overflow midpoint,
+    as ``fmt`` values.  1/7/12's products have at most 26 significant
+    bits.  Its tie is a product that is itself a binary32 midpoint,
+    4097^2 * 2^24, added to 2^-30, which the binary64 add drops; the
+    exact sum rounds up, and the midpoint would round down to even.  Its
+    other cases meet midpoints exactly: ``above`` lands on 2^128 - 2^103
+    and goes up to infinity, ``overflow`` stays 2^91 below it, and its
+    denormal sums are multiples of 2^-148, so never midpoints.
+    """
+    big = BINARY32.max_finite
+    if fmt.mant_bits >= 15:
+        return {
+            "tie": [(2.0**30, 1.0), (2.0**7, 1.0),
+                    (2.0**3 * (1 + 2.0**-15), -(2.0**3) * (1 - 2.0**-15))],
+            "denormal": [(2.0**-140 + 2.0**-149, 1.0),
+                         ((1 + 2.0**-23) * 2.0**-75, (1 - 2.0**-23) * 2.0**-75)],
+            "overflow": [(big, 1.0), (4188889 * 2.0**30, 2099863 * 2.0**30)],
+            "above": [(big, 1.0), ((2**23 + 1) * 2.0**40, 2.0**40)],
+        }
+    half_big = (4095 * 2.0**52, 4097 * 2.0**51)  # (2^24 - 1) 2^103, half of max_f32
+    return {
+        "tie": [(2.0**-15, 2.0**-15), (4097 * 2.0**12, 4097 * 2.0**12)],
+        "denormal": [(2.0**-70, 2.0**-70), (3 * 2.0**-74, 2.0**-74)],
+        "overflow": [half_big, half_big, (4095 * 2.0**40, 2.0**51)],
+        "above": [half_big, half_big, (2.0**52, 2.0**51)],
+    }
+
+
+@pytest.mark.parametrize("spec", ("1/8/23/d", "1/7/12/d"))
+def test_fmacs_float32_midpoints_past_a_block_and_a_redo(spec, redone):
+    # A 6x600 by 600x3 product of float32 operands runs in blocks of 256,
+    # 256 and 88 steps.  Rows 0 to 3 of a hold the cases of
+    # _midpoint_cases, each in one lane and with both signs, at steps where
+    # every other lane's product is zero; rows 4 and 5 hold random
+    # operands.  The tie that opens the reduction is redone in block 0, and
+    # blocks 1 and 2 redo more than one step each, so the steps after a
+    # redo run again on fresh sums.
+    fmt = FpFormat.parse(spec)  # 1/8/23/d is BINARY32
+    m, k, n = 6, 600, 3
+    rng = np.random.default_rng(2203)
+    a = np.zeros((m, k))
+    a[4:] = rng.standard_normal((2, k)) * 2.0 ** rng.integers(-30, 30, (2, k))
+    b = rng.standard_normal((k, n)) * 2.0 ** rng.integers(-30, 30, (k, n))
+    cases = _midpoint_cases(fmt)
+    plan = [("tie", 2, 1.0), ("tie", 300, -1.0), ("denormal", 310, 1.0), ("overflow", 320, 1.0),
+            ("overflow", 330, -1.0), ("denormal", 340, -1.0), ("above", 350, 1.0),
+            ("tie", 520, 1.0), ("overflow", 530, 1.0), ("denormal", 540, 1.0),
+            ("above", 550, -1.0), ("overflow", 560, -1.0)]
+    lanes, planted = [], []
+    for (case, at, sign), (i, j) in zip(plan, np.ndindex(4, n)):
+        for step, (x, y) in enumerate(cases[case], start=at):
+            a[:, step], b[step] = 0.0, 0.0
+            a[i, step], b[step, j] = sign * x, y
+            planted.append((step, i, j, sign * x, y))
+        lanes.append((i, j))
+    a, b = roundfp_array(a.astype(np.float32), fmt), roundfp_array(b.astype(np.float32), fmt)
+    for step, i, j, x, y in planted:  # the cases are fmt values
+        assert (a[i, step], b[step, j]) == (x, y)
+    wide = matmul_wide(a, b, fmt, mode=AccumMode.FMACS)
+    # one redo of one lane for each inexact landing on a midpoint: every
+    # planted tie, and in binary32 the denormal ties and overflow midpoints
+    assert redone == [1] * (10 if fmt.mant_bits >= 15 else 3)
+    narrow = matmul(a, b, fmt, mode=AccumMode.FMACS)
+    for i in range(m):
+        for j in range(n):
+            want_wide, want = _instruction_chain(a[i].tolist(), b[:, j].tolist(), fmt,
+                                                 AccumMode.FMACS, 8)
+            assert _same_bits32(wide[i, j], want_wide), (i, j)
+            assert _same_bits32(narrow[i, j], want), (i, j)
+    _check_lanes(a, b, fmt, AccumMode.FMACS, 8, lanes[1:7] + [(4, 0), (5, 2)])
+    inf = [tuple(x) for x in np.argwhere(np.isinf(wide[:4]))]
+    assert inf == [lanes[6], lanes[10]]  # only the lanes past the overflow midpoint
+    assert wide[lanes[0]] == (1073741952.0 if fmt.mant_bits >= 15 else 16785410 * 2.0**24)
+
+
+def test_fmacs_bfloat16_denormal_band_is_not_redone(redone):
+    # One 1/8/7/n lane stays in binary32's denormal band for 400 steps,
+    # over two blocks.  Its products reach far below 2^-149, so no block
+    # is summed in float32, and some binary64 sums are inexact; but a
+    # binary32 denormal nudged by such a product is never an odd multiple
+    # of 2^-150, so no step is redone.
+    rng = np.random.default_rng(2207)
+    k = 400
+    tiny = rng.random(k) < 0.5  # products of 2^-200 to 2^-170
+    e = np.where(tiny, rng.integers(-100, -85, k), rng.integers(-76, -68, k))
+    a = rng.choice([-1.0, 1.0], k) * (1 + rng.integers(0, 128, k) / 128) * 2.0**e
+    b = (1 + rng.integers(0, 128, k) / 128) * 2.0**e
+    a, b = a[None].astype(np.float32), b[:, None].astype(np.float32)
+    assert (roundfp_array(a, BF8) == a).all() and (roundfp_array(b, BF8) == b).all()
+    want_wide, want = _instruction_chain(a[0].tolist(), b[:, 0].tolist(), BF8, AccumMode.FMACS, 8)
+    assert 0 < abs(want_wide) < 2.0**-126
+    got = matmul_wide(a, b, BF8, mode=AccumMode.FMACS)
+    assert _same_bits32(got[0, 0], want_wide)
+    _check_lanes(a, b, BF8, AccumMode.FMACS, 8, [(0, 0)])
+    assert redone == []
+    # Every running sum stays in the band, and some binary64 sums are inexact.
+    acc, inexact = 0.0, 0
+    for x, y in zip(a[0].tolist(), b[:, 0].tolist()):
+        inexact += Fraction(acc) + Fraction(x) * Fraction(y) != acc + x * y
+        acc = fmacs(acc, x, y, BF8)
+        assert abs(acc) < 2.0**-126
+    assert inexact > 0
 
 
 FORMAT_WIDTH_MODES = (AccumMode.MAC, AccumMode.FMAC, AccumMode.FMAC8)

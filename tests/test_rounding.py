@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from fpemu._dyadic import round_mk, to_mk
 from fpemu.formats import BINARY32, FpFormat
 from fpemu.oracle import round_exact, round_float
-from fpemu.rounding import (RoundFlag, _fits_binary32, _on_grid, _round_core, roundfp,
-                            roundfp_array)
+from fpemu.rounding import (RoundFlag, _fits_binary32, _on_grid, _on_grid_bits, _round_core,
+                            roundfp, roundfp_array)
 
 HALF = FpFormat.parse("1/5/10/d")
 HALF_N = FpFormat.parse("1/5/10/n")
@@ -410,6 +410,25 @@ def test_membership_mask_matches_contains(fmt):
     want32 = np.array([fmt.contains(x) for x in x32.tolist()])
     assert np.array_equal(got32, want32)
     assert want32.any() and want32.all() == (fmt == BINARY32)  # every float32 is in binary32
+
+
+@pytest.mark.parametrize("spec", ("1/8/23/d", "1/8/23/n", "1/8/22/d", "1/7/23/d"))
+def test_on_grid_float32_shortcut_matches_the_bit_check(spec):
+    # _on_grid takes every float32 as a member of binary32 (1/8/23/d)
+    # without looking at it; formats one field away from binary32 are
+    # checked on the bits.  Either way the answer is _on_grid_bits's:
+    # 2^20 random patterns, signed zeros and infinities, quiet and
+    # signaling NaNs of either sign, and denormals and their edges.
+    fmt = FpFormat.parse(spec)
+    rng = np.random.default_rng(2219)
+    edges = np.array([0, 1 << 31, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000,
+                      0x7FA00000, 0xFFA00001, 0x7F800001, 0x7FFFFFFF, 1, 0x80000001,
+                      0x00400000, 0x007FFFFF, 0x807FFFFF, 0x00800000, 0x7F7FFFFF],
+                     dtype=np.uint32)
+    x = np.concatenate([_random_float32(rng, 1 << 20), edges.view(np.float32)])
+    got = _on_grid(x, fmt)
+    assert np.array_equal(got, _on_grid_bits(x, fmt))
+    assert got.all() == (fmt == BINARY32)
 
 
 # ── properties ─────────────────────────────────────────────────────────
