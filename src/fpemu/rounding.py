@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .formats import _BLOCK, FpFormat, FpValue
+from .formats import _BLOCK, BINARY32, FpFormat, FpValue
 
 __all__ = ["RoundFlag", "RoundingOutcome", "roundfp", "roundfp_array"]
 
@@ -216,10 +216,10 @@ def _on_grid(a: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Elementwise :meth:`FpFormat.contains` for a float32 or float64 array,
     on its own bit patterns: every format is a subset of binary32, so a
     float32 array is checked without being widened, and in binary32
-    itself (or 1/8/23/d, the same grid) every float32 bit pattern is a
-    member.  Other arrays are checked by :func:`_on_grid_bits`.
+    itself every float32 bit pattern is a member.  Other arrays are
+    checked by :func:`_on_grid_bits`.
     """
-    if a.dtype == _F32 and fmt.mant_bits == 23 and fmt.exp_bits == 8 and fmt.denormals:
+    if a.dtype == _F32 and fmt == BINARY32:
         return np.ones(a.shape, dtype=bool)
     return _on_grid_bits(a, fmt)
 
