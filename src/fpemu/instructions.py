@@ -93,7 +93,6 @@ paths are tested against the rational oracle.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import NamedTuple
 
@@ -455,43 +454,45 @@ class _Rows:
     ``rows[i + 1]`` holds the accumulator after step i of a block, and row
     0 the running sum carried into it.  A block of n steps uses the first
     n + 1 rows, so the rows are made for the longest block.  The checked
-    steps use them as flat rows, one lane per element, ``flat``, and its
-    row views ``row``; a binary32 accumulator stepped on binary64
-    products also keeps each step's binary64 sum in ``sums`` (views
-    ``sum``).  Each of these is made on first use.
+    steps use them as flat rows, one lane per element, and a binary32
+    accumulator stepped on binary64 products also keeps each step's
+    binary64 sum.  Both are made on first use, with their row views.
     """
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows  # C-contiguous, so its lanes flatten in place
+        self._flat = self._sums = None
 
-    @functools.cached_property
-    def flat(self) -> np.ndarray:
-        return self.rows.reshape(len(self.rows), -1)
+    @property
+    def flat(self) -> tuple[np.ndarray, list]:
+        """The rows, one lane per element, and their row views."""
+        if self._flat is None:
+            flat = self.rows.reshape(len(self.rows), -1)
+            self._flat = flat, list(flat)
+        return self._flat
 
-    @functools.cached_property
-    def row(self) -> list:
-        return list(self.flat)
-
-    @functools.cached_property
-    def sums(self) -> np.ndarray:
-        return np.empty((len(self.flat) - 1, self.flat.shape[1]))
-
-    @functools.cached_property
-    def sum(self) -> list:
-        return list(self.sums)
+    @property
+    def sums(self) -> tuple[np.ndarray, list]:
+        """A binary64 sum for each step and lane, and its row views."""
+        if self._sums is None:
+            flat = self.flat[0]
+            sums = np.empty((len(flat) - 1, flat.shape[1]))
+            self._sums = sums, list(sums)
+        return self._sums
 
 
 def _inexact(bad: np.ndarray, acc: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``bad`` narrowed, in place, to its lanes where the binary64 add
     acc + p was inexact (TwoSum's error term is not zero)."""
-    if bad.any():
+    if np.count_nonzero(bad):  # about 1 µs faster than any() on small masks
         bad[bad] = _two_sum(acc[bad], p[bad])[1] != 0
     return bad
 
 
-def _checked_steps(rows: _Rows, prods: np.ndarray, steps, flagged, acc_fmt: FpFormat) -> None:
-    """rows[i + 1] = round(rows[i] + prods[i], acc_fmt) over one block of
-    n = len(prods) steps of binary64 products ``prods``, flat (n, lanes).
+def _checked_steps(row: list, prods: np.ndarray, steps, flagged, acc_fmt: FpFormat) -> None:
+    """row[i + 1] = round(row[i] + prods[i], acc_fmt) over one block of
+    n = len(prods) steps of binary64 products ``prods``, flat (n, lanes),
+    with ``row`` the flat rows' views.
 
     ``steps(start)`` runs the cheap steps start to n - 1, each rounding
     the binary64 sum s = acc + prod into ``acc_fmt`` on flat rows.  RNE is
@@ -505,12 +506,11 @@ def _checked_steps(rows: _Rows, prods: np.ndarray, steps, flagged, acc_fmt: FpFo
     that has any are redone exactly with :func:`_fused_step_array`, and
     the steps after it are run and checked again.
     """
-    row = rows.row
     start = 0
     while True:
         steps(start)
         bad = flagged(start)
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return
         i = int(np.argmax(bad.any(axis=1)))
         lanes = bad[i]
@@ -558,10 +558,12 @@ def _reduce_rows(rows: "_Rows | np.ndarray", prods: np.ndarray, acc_fmt: FpForma
         block[1:] = prods
         _running_sums(block)
         return
-    flat, row = rows.flat[:n + 1], rows.row
+    flat, row = rows.flat
+    flat = flat[:n + 1]
     prods = prods.reshape(n, -1)
     if flat.dtype == np.float32:
-        sums, s = rows.sums[:n], rows.sum
+        sums, s = rows.sums
+        sums = sums[:n]
 
         def steps(start):
             sums[start:] = prods[start:]
@@ -573,7 +575,7 @@ def _reduce_rows(rows: "_Rows | np.ndarray", prods: np.ndarray, acc_fmt: FpForma
             bad = (sums[start:].view(np.uint64) & _LOW29) == _HALF_ULP32
             mag = np.abs(sums[start:])
             tiny = mag < _MIN_NORMAL32
-            if tiny.any():  # zeros, or the denormal band: odd multiples of 2^-150
+            if np.count_nonzero(tiny):  # zeros, or the denormal band: odd multiples of 2^-150
                 bad[tiny] = np.fmod(mag[tiny] * 2.0**150, 2.0) == 1
             return _inexact(bad, flat[start:n], prods[start:])
     else:
@@ -610,7 +612,7 @@ def _reduce_rows(rows: "_Rows | np.ndarray", prods: np.ndarray, acc_fmt: FpForma
             bad |= (mag > acc_fmt.max_finite) & (mag < np.inf)
             return bad
 
-    _checked_steps(rows, prods, steps, flagged, acc_fmt)
+    _checked_steps(row, prods, steps, flagged, acc_fmt)
 
 
 def _fmac8_block(master: np.ndarray, prods: np.ndarray, chunk: int, fmt: FpFormat) -> np.ndarray:
