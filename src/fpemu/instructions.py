@@ -13,12 +13,9 @@ accumulator drained into a binary32 master every ``chunk`` elements) and
 a ``matmul`` that reduces every output element with one of these
 schedules in ascending index order.
 
-``fmac8_dot`` has two bodies with the same bits, chosen by size.  A
-vector of at least ``_TENSOR_DOT_MIN_K`` elements and
-``_TENSOR_DOT_MIN_CHUNKS`` chunks goes to the tensor FMAC8 reduction
-below, whose steps run a block's chunks side by side, so its cost grows
-with the chunk rather than with the length.  Shorter vectors, and long
-ones with few chunks, run the exact loop, which is the cheaper there.
+``fmac8_dot`` runs short vectors, and long ones with few chunks, in an
+exact loop, and the others as a 1 x K by K x 1 product through
+``matmul``'s FMAC8 reduction below; the bits are the same.
 
 Scalar calls go through the exact integer arithmetic of ``_dyadic``.
 Each operand is checked and taken apart once by ``as_integer_ratio``
@@ -85,9 +82,10 @@ The exact redo is a TwoSum round-to-odd add followed by one
 round-to-nearest, which for 24 or fewer significand bits is one correct
 rounding (53 >= 24 + 2; Boldo and Melquiond, IEEE TC 2008).  FMAC8's
 accumulator restarts every ``chunk`` steps, and its product blocks hold
-whole chunks, which run side by side as lanes of one reduction and
-drain into the master only after the block has passed its check.  All
-paths are tested against the rational oracle.
+whole chunks, at least one and at least enough for 16 lanes (chunks x
+m x n), with no cap on their steps.  The chunks run side by side as
+lanes of one reduction and drain into the master only after the block
+has passed its check.  All paths are tested against the rational oracle.
 """
 
 from __future__ import annotations
@@ -252,27 +250,15 @@ def fmac8_dot(w, x, fmt: FpFormat, chunk: int = 8) -> float:
 
     Two bodies give the same bits.  Vectors of at least 96 elements and
     16 whole chunks (``_TENSOR_DOT_MIN_K``, ``_TENSOR_DOT_MIN_CHUNKS``)
-    run through the tensor FMAC8 reduction (:func:`_fmac8_dot_tensor`),
-    the others through the exact loop (:func:`_fmac8_dot_exact`), which
-    is the cheaper there.  Either way all of ``w`` is checked before
-    ``x``, and the error names the first operand not in ``fmt``.
+    are reduced as a 1 x K by K x 1 product by :func:`matmul`'s FMAC8
+    reduction (:func:`_reduce_products`); the others run the exact loop
+    (:func:`_fmac8_dot_exact`), which is the cheaper there.  Either way
+    all of ``w`` is checked before ``x``, and the error names the first
+    operand not in ``fmt``.
     """
     n = len(w)
-    if n >= _TENSOR_DOT_MIN_K and 1 <= chunk <= n // _TENSOR_DOT_MIN_CHUNKS and len(x) == n:
-        return _fmac8_dot_tensor(w, x, fmt, chunk)
-    return _fmac8_dot_exact(w, x, fmt, chunk)
-
-
-def _fmac8_dot_tensor(w, x, fmt: FpFormat, chunk: int) -> float:
-    """:func:`fmac8_dot` by the tensor FMAC8 reduction, one lane.
-
-    Operands are checked as binary64 arrays, all of ``w`` first, and the
-    products are formed as :func:`matmul` forms them: in binary32 where
-    every product of two ``fmt`` values is a binary32 number.  A block
-    holds about ``_BLOCK_ELEMS`` products in whole chunks, and at least
-    ``_TENSOR_DOT_MIN_CHUNKS`` chunks, which run side by side as lanes.
-    """
-    dtype = np.float32 if _products_fit_binary32(fmt) else np.float64
+    if not (n >= _TENSOR_DOT_MIN_K and 1 <= chunk <= n // _TENSOR_DOT_MIN_CHUNKS and len(x) == n):
+        return _fmac8_dot_exact(w, x, fmt, chunk)
     with np.errstate(invalid="ignore"):  # a cast quiets a signaling NaN, a member like any NaN
         fw, fx = np.asarray(w, dtype=np.float64), np.asarray(x, dtype=np.float64)
         for name, v in (("w", fw), ("x", fx)):
@@ -280,10 +266,8 @@ def _fmac8_dot_tensor(w, x, fmt: FpFormat, chunk: int) -> float:
             if not ok.all():
                 i = int(np.argmin(ok))
                 raise ValueError(f"{name}[{i}]={float(v[i])!r} is not representable in {fmt}")
-        fw, fx = fw.astype(dtype)[:, None], fx.astype(dtype)[:, None]
-    kb = max(_BLOCK_ELEMS - _BLOCK_ELEMS % chunk, _TENSOR_DOT_MIN_CHUNKS * chunk)
-    blocks = (fw[k0:k0 + kb] * fx[k0:k0 + kb] for k0 in range(0, len(fw), kb))
-    return float(roundfp_array(_reduce(blocks, (1,), fmt, AccumMode.FMAC8, chunk), fmt)[0])
+        acc = _reduce_products(fw[None, :], fx[:, None], fmt, AccumMode.FMAC8, chunk)
+    return float(roundfp_array(acc, fmt)[0, 0])
 
 
 def _fmac8_dot_exact(w, x, fmt: FpFormat, chunk: int = 8) -> float:
@@ -396,12 +380,16 @@ def _fused_step_array(acc: np.ndarray, prod: np.ndarray, fmt: FpFormat) -> np.nd
     return roundfp_array(_add_round_to_odd(acc, prod), fmt).astype(np.float64)
 
 
-# Products are formed a K-block at a time as a (kb, m, n) tensor of at
-# most _BLOCK_ELEMS elements and _BLOCK_STEPS steps.  FMAC8 blocks are cut
-# down to whole chunks, or grown to one chunk where a chunk is longer.  The
-# step cap bounds what one redo in _checked_steps re-runs.
+# Products are formed a K-block at a time as a (kb, m, n) tensor of about
+# _BLOCK_ELEMS elements.  The modes that do not drain take at most
+# _BLOCK_STEPS steps a block, which bounds what one redo in _checked_steps
+# re-runs.  FMAC8 blocks hold whole chunks, at least one and at least
+# _FMAC8_LANES lanes (chunks x m x n), and run min(chunk, kb) steps, so a
+# redo re-runs at most one chunk.  In 4 lanes, fmac8_dot at K = 65,536 and
+# chunk 4,096 took 75 ms, against 24 ms in 16.
 _BLOCK_ELEMS = 1 << 14
 _BLOCK_STEPS = 256
+_FMAC8_LANES = 16
 
 _HALF_QUANTUM = np.uint64(53 << 52)  # exponent bits from a magic constant down to half its quantum
 # A binary64 sum of at least 2^-126 is a binary32 midpoint iff its 29 low
@@ -412,14 +400,18 @@ _HALF_ULP32 = np.uint64(1 << 28)
 _MIN_NORMAL32 = 2.0**-126
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: int):
+def _product_blocks(a: np.ndarray, b: np.ndarray, chunk: "int | None"):
     """Yield the exact products a[:, i] * b[i, :] as (kb, m, n) blocks in
-    ascending i, kb a whole number of ``chunk`` steps (at least one), in
-    the operands' width."""
+    ascending i, in the operands' width.  ``chunk`` is FMAC8's, whose
+    blocks are whole chunks, or None for the other modes."""
     m, k = a.shape
     n = b.shape[1]
-    kb = min(_BLOCK_STEPS, _BLOCK_ELEMS // max(1, m * n))
-    kb = max(chunk, kb - kb % chunk)
+    lanes = max(1, m * n)
+    if chunk is None:
+        kb = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMS // lanes))
+    else:  # no more chunks than k has, so that no numpy-int chunk * chunks overflows
+        chunks = max(_BLOCK_ELEMS // chunk // lanes, -(-_FMAC8_LANES // lanes))
+        kb = chunk * max(1, min(chunks, -(-k // chunk)))
     at = np.ascontiguousarray(a.T)  # a strided a.T multiplies about 1.7x slower
     for k0 in range(0, k, kb):
         yield at[k0:k0 + kb, :, None] * b[k0:k0 + kb, None, :]
@@ -682,12 +674,7 @@ def _reduce(blocks, shape: tuple[int, ...], fmt: FpFormat, mode: AccumMode, chun
 
 def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.ndarray:
     """Check the arguments of a matmul and reduce: the accumulator state.
-
-    A float32 operand is checked in binary32, any other in binary64.  The
-    products are formed in binary32 where every product of two ``fmt``
-    values is a binary32 number (:func:`rounding._products_fit_binary32`),
-    else in binary64.
-    """
+    A float32 operand is checked in binary32, any other in binary64."""
     mode = AccumMode.parse(mode)
     if chunk < 1:
         raise ValueError("chunk must be positive")
@@ -698,7 +685,6 @@ def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.
     (m, k), (k2, n) = fa.shape, fb.shape
     if k != k2:
         raise ValueError(f"shape mismatch: ({m}, {k}) @ ({k2}, {n})")
-    dtype = np.float32 if _products_fit_binary32(fmt) else np.float64
     # A cast quiets a signaling NaN, which is a member like any NaN.
     with np.errstate(invalid="ignore"):
         fa, fb = (x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
@@ -708,9 +694,19 @@ def _accumulate(a, b, fmt: FpFormat, mode: "AccumMode | str", chunk: int) -> np.
             if not ok.all():
                 i = tuple(np.argwhere(~ok)[0])
                 raise ValueError(f"{name}{list(i)} = {np.float64(x[i])!r} is not representable in {fmt}")
-        fa, fb = fa.astype(dtype, copy=False), fb.astype(dtype, copy=False)
-    blocks = _product_blocks(fa, fb, chunk if _SCHEDULES[mode].drains else 1)
-    return _reduce(blocks, (m, n), fmt, mode, chunk)
+        return _reduce_products(fa, fb, fmt, mode, chunk)
+
+
+def _reduce_products(a, b, fmt: FpFormat, mode: AccumMode, chunk: int) -> np.ndarray:
+    """The accumulator state of a @ b under ``mode``, for float32 or
+    float64 operands already checked in ``fmt``.  The products are formed
+    in binary32 where every product of two ``fmt`` values is a binary32
+    number (:func:`rounding._products_fit_binary32`), else in binary64.
+    Call it under ``np.errstate(invalid="ignore")``, for that cast."""
+    dtype = np.float32 if _products_fit_binary32(fmt) else np.float64
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    blocks = _product_blocks(a, b, chunk if _SCHEDULES[mode].drains else None)
+    return _reduce(blocks, (len(a), b.shape[1]), fmt, mode, chunk)
 
 
 def matmul(

@@ -423,6 +423,34 @@ def test_fmac8_dot_takes_long_vectors_to_the_tensor_reduction(spec, reduce_calls
         assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in results)
 
 
+@pytest.mark.parametrize("spec", ("1/5/10/d", "1/6/9/n", "1/8/7/n", "1/8/23/d"))
+def test_fmac8_dot_pins_chunks_above_the_lane_floor(spec, reduce_calls):
+    # Past _BLOCK_ELEMS // 16 steps a chunk, an FMAC8 block holds 16
+    # chunks side by side rather than about _BLOCK_ELEMS products: 20,000
+    # elements at chunk 1,100 run in a block of 17,600 steps and one of
+    # two chunks, the last partial.
+    fmt = FpFormat.parse(spec)
+    n, chunk = 20_000, 1_100
+    assert instructions._BLOCK_ELEMS // 16 < chunk <= n // 16
+    rng = np.random.default_rng(2302)
+
+    def values(lo, hi):
+        e = rng.integers(lo, hi, n).astype(np.float64)
+        return roundfp_array(rng.standard_normal(n) * 2.0**e, fmt).tolist()
+
+    mid = fmt.e_min // 2
+    # anywhere in the range, the denormal band included; then partial sums
+    # cancelling around min_normal
+    for lo, hi in ((fmt.e_min - fmt.mant_bits, fmt.e_max // 2),
+                   (mid - fmt.mant_bits // 2 - 2, mid + 2)):
+        w, x = values(lo, hi), values(lo, hi)
+        before = len(reduce_calls)
+        got = fmac8_dot(w, x, fmt, chunk=chunk)
+        assert reduce_calls[before:] == [AccumMode.FMAC8]
+        assert _same_bits(got, _fmac8_dot_exact(w, x, fmt, chunk=chunk)), (got, lo, hi)
+        assert _same_bits(got, dot_oracle(w, x, fmt, chunk=chunk)), (got, lo, hi)
+
+
 def test_fmac8_dot_names_the_first_bad_operand():
     bad_w = [1.0, 2.0, 1.0 + 2.0**-11, 4098.0, 1.0]
     bad_x = [2.0**-25, 1.0, 65536.0, 1.0, 1.0]
@@ -483,6 +511,13 @@ def test_fmac8_dot_takes_a_huge_chunk_silently(chunk, reduce_calls):
     assert not reduce_calls
     assert _same_bits(got, _fmac8_dot_exact(w, x, HALF, chunk=4096))
     assert _same_bits(got, dot_oracle(w, x, HALF, chunk=4096))
+    # matmul cuts no more FMAC8 chunks than k has, so a huge chunk is one
+    # block there too
+    a, b = np.array([w]), np.array([x]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = matmul_wide(a, b, HALF, mode=AccumMode.FMAC8, chunk=chunk)
+    assert wide.view(np.uint32) == matmul_wide(a, b, HALF, mode=AccumMode.FMAC8, chunk=4096).view(np.uint32)
 
 
 # ── instruction/oracle sweeps ──────────────────────────────────────────
@@ -629,9 +664,14 @@ def _same_bits32(got, want):
 TRAINING_SHAPES = ((32, 108, 4), (4, 32, 108), (1152, 9, 3), (3, 1152, 9), (32, 16, 1))
 # Shapes that cross product blocks: a 64x85 output holds 3 steps per
 # block, and k = 600 spans three blocks of at most 256 steps.  FMAC8
-# blocks hold whole chunks: at chunk 8 the 64x85 blocks grow to one
-# 8-step chunk, and the k = 600 blocks stay at 256 steps.
+# blocks hold whole chunks instead: at chunk 8 the 64x85 blocks grow to
+# one 8-step chunk, and k = 600 is one block.
 BLOCK_SHAPES = ((64, 20, 85), (3, 600, 2))
+# FMAC8 blocks of whole chunks that cross, on a new seed.  At chunk 3 the
+# 180 lanes of 12x250x15 run in blocks of 30 chunks, 90 + 90 + 70 steps,
+# where the other modes take 91; at chunk 100 each block is one chunk,
+# longer than those 91 steps.  Either way the last chunk is partial.
+FMAC8_BLOCK_SHAPES = ((12, 250, 15),)
 
 
 def _special_operands(rng, m, k, n, fmt):
@@ -685,16 +725,18 @@ def test_matmul_matches_scalar_chains(mode):
 
 @pytest.mark.parametrize("chunk", (3, 100, 2**40), ids=("chunk3", "chunk100", "chunk2^40"))
 def test_fmac8_chunks_that_do_not_fit_a_block_match_scalar_chains(chunk):
-    # Chunk 3 cuts the 256-step blocks of k = 600 down to 255 steps;
-    # chunk 100 is longer than the 3-step blocks of the 64x85 output; and
-    # chunk 2^40 is longer than k, so it drains only at the end, as a
-    # chunk of k steps does.
+    # Chunk 3 cuts FMAC8_BLOCK_SHAPES into blocks of 30 chunks; chunk 100
+    # is longer than the 3-step blocks of the 64x85 output and the 91-step
+    # ones of 12x250x15; and chunk 2^40 is longer than k, so it drains
+    # only at the end, as a chunk of k steps does.
     rng = np.random.default_rng(29)
+    block_rng = np.random.default_rng(37)
+    cases = [(s, rng) for s in BLOCK_SHAPES] + [(s, block_rng) for s in FMAC8_BLOCK_SHAPES]
     for fmt in (HALF, WIDE_N, BINARY32):
-        for m, k, n in BLOCK_SHAPES:
-            a, b = _special_operands(rng, m, k, n, fmt)
+        for (m, k, n), r in cases:
+            a, b = _special_operands(r, m, k, n, fmt)
             lanes = {(0, 0), (0, n - 1), (m - 1, 0), (m // 2, n // 2),
-                     (int(rng.integers(m)), int(rng.integers(n)))}
+                     (int(r.integers(m)), int(r.integers(n)))}
             _check_lanes(a, b, fmt, AccumMode.FMAC8, chunk, sorted(lanes))
             if chunk > k:
                 got = matmul_wide(a, b, fmt, mode=AccumMode.FMAC8, chunk=chunk)
@@ -733,10 +775,13 @@ def _instruction_chain(arow, bcol, fmt, mode, chunk):
 # not, by one mantissa bit and by one exponent bit.
 PRODUCT_RULE_FORMATS = {"1/7/11/d": True, "1/7/12/d": False, "1/8/7/n": False,
                         "1/5/10/d": True, "1/6/9/n": True, "1/8/23/d": False}
-# 12 lanes over 300 steps, two product blocks (255 + 45 steps for FMAC8
-# at chunk 3), and 150 and 480 lanes over 9 and 4 steps: both sides of
-# _LOOP_LANES.
+# 12 lanes over 300 steps, two product blocks of the modes that do not
+# drain (256 + 44 steps) and one FMAC8 block at chunk 3, and 150 and 480
+# lanes over 9 and 4 steps: both sides of _LOOP_LANES.
 RULE_SHAPES = ((4, 300, 3), (10, 9, 15), (12, 4, 40))
+# On a new seed, 16 lanes over 1,100 steps: two FMAC8 blocks at chunk 3,
+# 341 chunks (1,023 steps) and 26 (77 steps), the last chunk partial.
+FMAC8_RULE_SHAPES = ((4, 1100, 4),)
 
 
 def _rule_operands(rng, m, k, n, fmt):
@@ -769,10 +814,12 @@ def test_matmul_matches_instruction_chains_in_every_lane(spec):
     lanes = [m * n for m, _, n in RULE_SHAPES]
     assert min(lanes) <= _LOOP_LANES < max(lanes)
     rng = np.random.default_rng(31)
-    chunk = 3  # FMAC8 cuts the 256-step blocks of k = 300 to 255 steps
+    block_rng = np.random.default_rng(41)
+    chunk = 3
     results = []
-    for m, k, n in RULE_SHAPES:
-        a, b = _rule_operands(rng, m, k, n, fmt)
+    cases = [(s, rng) for s in RULE_SHAPES] + [(s, block_rng) for s in FMAC8_RULE_SHAPES]
+    for (m, k, n), r in cases:
+        a, b = _rule_operands(r, m, k, n, fmt)
         for mode in AccumMode:
             wide = matmul_wide(a, b, fmt, mode=mode, chunk=chunk)
             narrow = matmul(a, b, fmt, mode=mode, chunk=chunk)
@@ -799,6 +846,29 @@ def test_matmul_matches_instruction_chains_in_every_lane(spec):
     mag = np.abs(got[np.isfinite(got)])
     assert (mag > 1).any()
     assert ((mag > 0) & (mag < fmt.min_normal)).any() == fmt.denormals
+
+
+@pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
+def test_matmul_with_more_lanes_than_a_block_holds(mode):
+    # 200 x 100 lanes are more than _BLOCK_ELEMS products, so the modes
+    # that do not drain take one step a block; FMAC8 at chunk 3 takes one
+    # chunk a block, 3 + 2 steps, longer than those blocks.
+    m, k, n = 200, 5, 100
+    assert m * n > instructions._BLOCK_ELEMS
+    rng = np.random.default_rng(43)
+    for fmt in (HALF, WIDE_N, BF8, BINARY32):
+        a, b = _rule_operands(rng, m, k, n, fmt)
+        wide = matmul_wide(a, b, fmt, mode=mode, chunk=3)
+        narrow = matmul(a, b, fmt, mode=mode, chunk=3)
+        # the -0 lane, the infinity row and column, the overflow lane, and
+        # eight at random
+        lanes = {(0, 0), (1, 2), (2, 1), (m - 1, n - 1)}
+        lanes |= set(zip(rng.integers(m, size=8).tolist(), rng.integers(n, size=8).tolist()))
+        for i, j in sorted(lanes):
+            want_wide, want = _instruction_chain(a[i].tolist(), b[:, j].tolist(), fmt, mode, 3)
+            where = f"{fmt} {mode.value} [{i},{j}]"
+            assert _same_bits32(wide[i, j], want_wide), f"wide {where}"
+            assert _same_bits32(narrow[i, j], want), f"narrow {where}"
 
 
 def test_running_sums_loop_and_accumulate_give_the_same_bits():
@@ -1098,18 +1168,18 @@ def test_format_width_flush_partway_through_a_block(mode):
 def test_fmac8_drains_the_corrected_step(chunk, at):
     # Steps `at` and `at + 1` are the 259 tie of
     # test_format_width_midpoint_sum_is_rounded_once, in one chunk; the
-    # next step drains the corrected 258/256 into the master, once.  With
-    # chunk 3 the blocks are 255 steps, whole chunks, so the corrected
-    # chunk opens the second block.
+    # next step drains the corrected 258/256 into the master, once.  In
+    # 64 lanes at chunk 3 the blocks are 85 chunks, 255 steps, so the
+    # corrected chunk opens the second block.
     k = 300
-    a = np.zeros((1, k))
+    a = np.zeros((64, k))
     b = np.zeros((k, 1))
-    a[0, at:at + 3] = -(2.0**-68), 7 / 16, 1.0
+    a[:, at:at + 3] = -(2.0**-68), 7 / 16, 1.0
     b[at:at + 3, 0] = 1.0, 37 / 16, 0.5
-    a[0, -1], b[-1, 0] = 1.0, 2.0**-8
+    a[:, -1], b[-1, 0] = 1.0, 2.0**-8
     got = matmul_wide(a, b, BF8, mode=AccumMode.FMAC8, chunk=chunk)
-    assert float(got[0, 0]) == 258 / 256 + 0.5 + 2.0**-8
-    _check_lanes(a, b, BF8, AccumMode.FMAC8, chunk, [(0, 0)])
+    assert (got == 258 / 256 + 0.5 + 2.0**-8).all()
+    _check_lanes(a, b, BF8, AccumMode.FMAC8, chunk, [(0, 0), (63, 0)])
 
 
 @pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
@@ -1120,6 +1190,10 @@ def test_matmul_negative_zero_products_sum_to_positive_zero(mode):
     for out in (matmul_wide(a, b, HALF, mode=mode), matmul(a, b, HALF, mode=mode)):
         assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
     assert _oracle_chain(a[0], b[:, 0], HALF, mode, 8) == (0.0, 0.0)
+    # so does a reduction of no steps
+    for chunk in (1, 8):
+        out = matmul_wide(np.zeros((2, 0)), np.zeros((0, 3)), HALF, mode=mode, chunk=chunk)
+        assert out.shape == (2, 3) and (out == 0.0).all() and not np.signbit(out).any()
 
 
 @pytest.mark.parametrize("mode", list(AccumMode), ids=lambda m: m.value)
